@@ -234,26 +234,52 @@ pub struct Inputs {
     pub timed: Vec<SessionPlan>,
 }
 
-/// The seed of the catalog and of the warm-up sessions, which every run of a
-/// workload shares so that set-up, and the kind of work a session does, is
-/// the same whatever `--seed` is.
+/// The seed of the catalog, of the warm-up sessions and of every session's
+/// recommender streams, which every run of a workload shares so that
+/// set-up, and the kind of work a session does, is the same whatever
+/// `--seed` is.
 const FIXED_SEED: u64 = 2014;
 
-/// The inputs of one run.  `--seed` draws the timed sessions: each one's
-/// seed (which drives every random draw the recommender makes) and its
-/// hidden utility.  The utilities are spread evenly over the directions of
-/// the weight plane, each jittered within its own arc by the seed, so every
-/// run meets the same mix of tastes: a direction decides which packages a
-/// user prefers and so how long a session lasts.
+/// The step that visits all `arcs` arcs once, each session landing about
+/// 0.618 of the circle from the one before: the smallest step from
+/// `0.618 × arcs` up that shares no factor with `arcs`.
+fn spread_stride(arcs: usize) -> usize {
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let mut stride = ((arcs as f64 * 0.618).round() as usize).max(1);
+    while gcd(stride, arcs) != 1 {
+        stride += 1;
+    }
+    stride
+}
+
+/// The inputs of one run.  `--seed` draws each timed session's hidden
+/// utility.  The utilities are spread evenly over the directions of the
+/// weight plane, each jittered within its own arc by the seed, so every run
+/// meets the same mix of tastes: a direction decides which packages a user
+/// prefers and so how long a session lasts.  Consecutive sessions take arcs
+/// far apart (`spread_stride`), so every stretch of a run meets the whole
+/// mix and a slow spell of the host slows some sessions of every kind, not
+/// all sessions of one kind.  Session `i`'s own seed, which drives every
+/// random draw the recommender makes (MCMC samples, exploration packages),
+/// comes from the fixed seed: those draws decide a session's cost over two
+/// orders of magnitude, and a run's few hundred sessions are too few to
+/// average that out, so per-seed streams made the medians of one run move
+/// with the seed more than with the program.
 pub fn inputs(workload: &Workload, seed: u64, timed_sessions: usize) -> Inputs {
     let catalog = Arc::new(catalog(FIXED_SEED, workload.catalog_items));
     let profile = Profile::cost_quality();
     let context = AggregationContext::new(profile.clone(), &catalog, workload.max_package_size)
         .expect("the generated catalog matches the profile");
     let plan = |index: usize, seed: u64, arcs: usize| {
-        let session_seed = mix(seed, 0x5E55_0000_0000 + index as u64);
-        let mut taste = StdRng::seed_from_u64(mix(session_seed, 0x7A57E));
-        let arc = (index % arcs) as f64 + taste.gen_range(0.0..1.0);
+        let session_seed = mix(FIXED_SEED, 0x5E55_0000_0000 + index as u64);
+        let mut taste = StdRng::seed_from_u64(mix(seed, 0x7A57_E000_0000 + index as u64));
+        let arc = ((index % arcs) * spread_stride(arcs) % arcs) as f64 + taste.gen_range(0.0..1.0);
         let angle = std::f64::consts::TAU * arc / arcs as f64;
         let weights = vec![angle.cos(), angle.sin()];
         let spec = workload.spec(index);
