@@ -5,18 +5,11 @@
 //! elicitation sessions through it with the crate's closed-loop load
 //! generator: `clients` connections, each completing its sessions'
 //! `create → (present → feedback)* → recommend` chains back-to-back.
-//! Every level runs twice: once with the request loop scoring presents
-//! inline (`serial`), and once with the cross-shard scoring service
-//! enabled (`batched`), where shard workers drain consecutive presents
-//! from their queues and submit them to a shared batcher that stacks
-//! same-catalog work fleet-wide into one kernel sweep per admitted group.
 //! Every wire call's latency feeds a log-linear histogram (p50/p99/p999),
 //! and every wire result is compared byte-for-byte against a per-client
-//! in-process shadow store — the bench asserts zero mismatches on both
-//! paths, i.e. neither the network boundary nor the batcher is observable
-//! in results.  Each level also records the served store's counters, so
-//! the artifact pins how many sessions the admission policy batched
-//! versus deliberately fell back to serial scoring.
+//! in-process shadow store — the bench asserts zero mismatches, i.e. the
+//! network boundary is not observable in results.  Each level also
+//! records the served store's counters.
 //!
 //! Outside `-- --test` smoke mode the per-level reports are written to
 //! `BENCH_server.json` at the repository root.  The CI container exposes a
@@ -43,33 +36,20 @@ struct BenchRecord {
     levels: Vec<ServerLevel>,
 }
 
-/// One measured level: the load generator's report plus the request-loop
-/// mode it ran under and the served store's counters.
+/// One measured level: the load generator's report plus the served
+/// store's counters.
 #[derive(Debug, Serialize)]
 struct ServerLevel {
-    /// `"serial"` (presents scored inline by the shard worker) or
-    /// `"batched"` (presents routed through the cross-shard scoring
-    /// service).
-    mode: &'static str,
-    /// The scoring-service flush window, microseconds (0 when serial).
-    batch_window_us: u64,
-    /// Counters of the served store after the run, including the
-    /// admission audit trail (`batched_sessions` / `admission_fallbacks`
-    /// / `batch_wait_us`).
+    /// Counters of the served store after the run.
     store: StoreStats,
     /// The closed-loop load generator's measurement of this level.
     report: LoadReport,
 }
 
 /// One concurrency level: fresh durable store, fresh server, one load run.
-fn level(clients: usize, load: &LoadConfig, shards: usize, batch_window: Duration) -> ServerLevel {
-    let mode = if batch_window.is_zero() {
-        "serial"
-    } else {
-        "batched"
-    };
+fn level(clients: usize, load: &LoadConfig, shards: usize) -> ServerLevel {
     let dir = std::env::temp_dir().join(format!(
-        "pkgrec-fig-server-{}-c{clients}-{mode}",
+        "pkgrec-fig-server-{}-c{clients}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -82,14 +62,7 @@ fn level(clients: usize, load: &LoadConfig, shards: usize, batch_window: Duratio
     )
     .expect("durable store opens");
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            batch_window,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server binds");
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("server binds");
     let addr = server.local_addr().expect("bound address");
     let control = server.control();
     let handle = std::thread::spawn(move || {
@@ -113,8 +86,6 @@ fn level(clients: usize, load: &LoadConfig, shards: usize, batch_window: Duratio
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     ServerLevel {
-        mode,
-        batch_window_us: batch_window.as_micros() as u64,
         store: stats,
         report,
     }
@@ -122,7 +93,7 @@ fn level(clients: usize, load: &LoadConfig, shards: usize, batch_window: Duratio
 
 fn bench_server(_c: &mut Criterion) {
     let test_mode = std::env::args().any(|a| a == "--test");
-    let (load, levels, shards, batch_window) = if test_mode {
+    let (load, levels, shards) = if test_mode {
         (
             LoadConfig {
                 sessions: 8,
@@ -133,7 +104,6 @@ fn bench_server(_c: &mut Criterion) {
             },
             vec![1usize, 2],
             2usize,
-            Duration::from_millis(2),
         )
     } else {
         (
@@ -146,82 +116,34 @@ fn bench_server(_c: &mut Criterion) {
             },
             vec![2usize, 8],
             4usize,
-            Duration::from_micros(500),
         )
     };
 
     let mut reports: Vec<ServerLevel> = Vec::new();
     for clients in levels {
-        for window in [Duration::ZERO, batch_window] {
-            let level = level(clients, &load, shards, window);
-            println!(
-                "bench: fig_server/{clients}clients/{:<7} {:>7.2} sessions/s  {:>8.1} req/s  \
-                 p50 {:>6} us  p99 {:>7} us  ({} requests, {} mismatches, \
-                 {} batched sess, {} fallbacks, {} us waited)",
-                level.mode,
-                level.report.sessions_per_sec,
-                level.report.requests_per_sec,
-                level.report.p50_us,
-                level.report.p99_us,
-                level.report.requests,
-                level.report.mismatches,
-                level.store.batched_sessions,
-                level.store.admission_fallbacks,
-                level.store.batch_wait_us,
-            );
-            // The determinism contract extends across the wire and through
-            // the batcher: any divergence from the in-process shadow
-            // stores is a bug, not a data point.
-            assert!(level.report.shadow_checked, "shadow comparison must run");
-            assert_eq!(
-                level.report.mismatches, 0,
-                "wire results diverged from shadow ({})",
-                level.mode
-            );
-            assert_eq!(
-                level.report.sessions, load.sessions,
-                "every session completes"
-            );
-            // Every engine present on the batched path passed through the
-            // scoring service, so its audit counters must have moved —
-            // either sessions were batched or the policy recorded why not.
-            if level.mode == "batched" {
-                assert!(
-                    level.store.batched_sessions + level.store.admission_fallbacks > 0,
-                    "batched level never consulted the admission policy"
-                );
-            }
-            reports.push(level);
-        }
-    }
-
-    // Outside smoke mode the scoring service must pay for itself at the
-    // highest concurrency level (where the queues are deep enough to
-    // group): strictly faster than the serial request loop when real
-    // cores are available.  On a single CPU the batching window is pure
-    // added latency in a closed loop — there is no second core to overlap
-    // the stacked sweep with — so the bar there is a bounded overhead
-    // (the window waits are visible in `batch_wait_us`), not parity.
-    if !test_mode {
-        let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let (serial, batched) = (&reports[reports.len() - 2], &reports[reports.len() - 1]);
-        assert_eq!((serial.mode, batched.mode), ("serial", "batched"));
-        if parallelism > 1 {
-            assert!(
-                batched.report.sessions_per_sec > serial.report.sessions_per_sec,
-                "batched ({:.2}/s) must beat serial ({:.2}/s) on {} cores",
-                batched.report.sessions_per_sec,
-                serial.report.sessions_per_sec,
-                parallelism
-            );
-        } else {
-            assert!(
-                batched.report.sessions_per_sec >= serial.report.sessions_per_sec * 0.70,
-                "batched ({:.2}/s) regressed more than the windowing bound vs serial ({:.2}/s) on 1 core",
-                batched.report.sessions_per_sec,
-                serial.report.sessions_per_sec
-            );
-        }
+        let level = level(clients, &load, shards);
+        println!(
+            "bench: fig_server/{clients}clients {:>7.2} sessions/s  {:>8.1} req/s  \
+             p50 {:>6} us  p99 {:>7} us  ({} requests, {} mismatches)",
+            level.report.sessions_per_sec,
+            level.report.requests_per_sec,
+            level.report.p50_us,
+            level.report.p99_us,
+            level.report.requests,
+            level.report.mismatches,
+        );
+        // The determinism contract extends across the wire: any divergence
+        // from the in-process shadow stores is a bug, not a data point.
+        assert!(level.report.shadow_checked, "shadow comparison must run");
+        assert_eq!(
+            level.report.mismatches, 0,
+            "wire results diverged from shadow"
+        );
+        assert_eq!(
+            level.report.sessions, load.sessions,
+            "every session completes"
+        );
+        reports.push(level);
     }
 
     if !test_mode {

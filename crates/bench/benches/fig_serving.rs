@@ -2,20 +2,12 @@
 //!
 //! Serves the same mixed fleet of elicitation sessions (engine + baseline
 //! adapters, one hidden-utility user each) through `{1, N}` shards ×
-//! `{store-hit, batched, batched-xshard, admission-fallback,
-//! snapshot-restore}` paths.  The hit path keeps every session live; the
-//! batched path additionally drives each shard's sessions in lockstep so
-//! same-catalog engine sessions share one kernel sweep per round; the
-//! batched-xshard path routes every shard worker's pending presents
-//! through the cross-shard `ScoringService`, whose batcher stacks
-//! same-catalog submissions fleet-wide into one kernel sweep per group
-//! under the adaptive admission policy; the admission-fallback path runs
-//! the same service with admission forced off, measuring the audited
-//! serial-fallback seam; the restore path caps each shard at one live
-//! session, so nearly every operation pays a spill (snapshot checkpoint)
-//! plus a rehydrate (journal replay).  Per-session outcomes are identical
-//! across all shapes — the serving layer's core guarantee — and the
-//! bench asserts it before timing anything.
+//! `{store-hit, snapshot-restore}` paths.  The hit path keeps every
+//! session live; the restore path caps each shard at one live session, so
+//! nearly every operation pays a spill (snapshot checkpoint) plus a
+//! rehydrate (journal replay).  Per-session outcomes are identical across
+//! all shapes — the serving layer's core guarantee — and the bench asserts
+//! it before timing anything.
 //!
 //! Outside `-- --test` smoke mode the measured throughputs are written to
 //! `BENCH_serving.json` at the repository root.  Note the CI container
@@ -25,10 +17,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pkgrec_bench::report::{bench_environment, BenchEnvironment};
 use pkgrec_bench::serving::{
-    durability_point, serve_point, serve_point_batched, serve_point_scored, DurabilityPoint,
-    ServingConfig, ServingPoint,
+    durability_point, serve_point, DurabilityPoint, ServingConfig, ServingPoint,
 };
-use pkgrec_serve::{AdmissionMode, ScoringConfig};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -58,15 +48,6 @@ fn bench_serving(_c: &mut Criterion) {
         ServingConfig::default()
     };
 
-    let fallback_scoring = ScoringConfig {
-        mode: AdmissionMode::Never,
-        ..ScoringConfig::default()
-    };
-    enum Path {
-        Serial,
-        Lockstep,
-        Scored(ScoringConfig),
-    }
     let mut points = Vec::new();
     for shards in [1usize, config.shards.max(2)] {
         let shaped = ServingConfig {
@@ -74,33 +55,16 @@ fn bench_serving(_c: &mut Criterion) {
             threads: shards,
             ..config.clone()
         };
-        let ample = shaped.sessions.max(1);
-        for (path, capacity, mode) in [
-            ("store-hit", ample, Path::Serial),
-            ("batched", ample, Path::Lockstep),
-            (
-                "batched-xshard",
-                ample,
-                Path::Scored(ScoringConfig::default()),
-            ),
-            (
-                "admission-fallback",
-                ample,
-                Path::Scored(fallback_scoring.clone()),
-            ),
-            ("snapshot-restore", 1usize, Path::Serial),
+        for (path, capacity) in [
+            ("store-hit", shaped.sessions.max(1)),
+            ("snapshot-restore", 1usize),
         ] {
-            let point = match &mode {
-                Path::Serial => serve_point(&shaped, path, capacity),
-                Path::Lockstep => serve_point_batched(&shaped, path, capacity),
-                Path::Scored(scoring) => serve_point_scored(&shaped, path, capacity, scoring),
-            }
-            .expect("serving fleet runs to completion");
+            let point =
+                serve_point(&shaped, path, capacity).expect("serving fleet runs to completion");
             println!(
-                "bench: fig_serving/{}shard/{:<18} {:>8.2} sessions/s  ({} sessions, {} evictions, {} restores, {} batched sess, {} fallbacks)",
+                "bench: fig_serving/{}shard/{:<18} {:>8.2} sessions/s  ({} sessions, {} evictions, {} restores)",
                 shards, path, point.sessions_per_sec, point.sessions,
-                point.store.evictions, point.store.restores,
-                point.store.batched_sessions, point.store.admission_fallbacks
+                point.store.evictions, point.store.restores
             );
             points.push(point);
         }
@@ -117,70 +81,6 @@ fn bench_serving(_c: &mut Criterion) {
             "{}",
             point.path
         );
-    }
-    // Every batched point must have actually run shared kernel sweeps
-    // (the fleet's single interned catalog makes engine sessions groupable).
-    for point in points.iter().filter(|p| p.path == "batched") {
-        assert!(
-            point.store.batched_presents > 0,
-            "batched path never batched"
-        );
-        assert!(
-            point.store.batched_presents > point.store.batched_groups,
-            "batched sweeps should cover more sessions than kernel calls"
-        );
-    }
-    // The cross-shard scoring service must have actually admitted groups
-    // (round one admits optimistically, so a silent all-fallback run is a
-    // policy bug, not a slow day) ...
-    for point in points.iter().filter(|p| p.path == "batched-xshard") {
-        assert!(
-            point.store.batched_sessions > 0 && point.store.batched_groups > 0,
-            "cross-shard scoring service never admitted a group"
-        );
-    }
-    // ... and the forced-fallback shape must audit every declined group
-    // while batching nothing.
-    for point in points.iter().filter(|p| p.path == "admission-fallback") {
-        assert!(
-            point.store.admission_fallbacks > 0,
-            "forced fallback recorded no admission fallbacks"
-        );
-        assert_eq!(
-            point.store.batched_sessions, 0,
-            "AdmissionMode::Never must not batch"
-        );
-    }
-    // Outside smoke mode, batching must pay for itself: at least parity
-    // with the per-session store-hit path, and strictly better when real
-    // cores are available (the batched kernel amortises sweep setup and
-    // feeds wider score matrices to the lane-blocked kernel).  The same
-    // bar applies to the cross-shard scoring service.
-    if !test_mode {
-        let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-        for group in points.chunks(5) {
-            let hit = &group[0];
-            for batched in [&group[1], &group[2]] {
-                if parallelism > 1 {
-                    assert!(
-                        batched.sessions_per_sec > hit.sessions_per_sec,
-                        "{} ({:.2}/s) must beat store-hit ({:.2}/s) on {} cores",
-                        batched.path,
-                        batched.sessions_per_sec,
-                        hit.sessions_per_sec,
-                        parallelism
-                    );
-                } else {
-                    assert!(
-                        batched.sessions_per_sec >= hit.sessions_per_sec * 0.95,
-                        "{} ({:.2}/s) must hold parity with store-hit ({:.2}/s) on 1 core",
-                        batched.path,
-                        batched.sessions_per_sec,
-                        hit.sessions_per_sec
-                    );
-                }
-            }
-        }
     }
 
     // Durability series: the 100-session workload served through the

@@ -24,8 +24,8 @@ use pkgrec_core::{
     ElicitationConfig, EngineConfig, LinearUtility, Profile, Result, SimulatedUser,
 };
 use pkgrec_serve::{
-    CompactionStats, DurabilityConfig, RecommenderSpec, ScoringConfig, ServingLoop, SessionConfig,
-    SessionId, SessionStore, StoreConfig, StoreStats,
+    CompactionStats, DurabilityConfig, RecommenderSpec, ServingLoop, SessionConfig, SessionId,
+    SessionStore, StoreConfig, StoreStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -192,69 +192,7 @@ pub fn serve_point(
     capacity_per_shard: usize,
 ) -> Result<ServingPoint> {
     let (mut store, fleet) = build_fleet(config, capacity_per_shard)?;
-    serve_fleet(
-        &mut store,
-        &fleet,
-        config,
-        path,
-        capacity_per_shard,
-        DriveMode::Serial,
-    )
-}
-
-/// [`serve_point`] through [`ServingLoop::run_batched`]: each shard drives
-/// its sessions in lockstep rounds so same-catalog engine sessions share one
-/// batched kernel sweep per round.  Outcomes are identical to the serial
-/// paths (the fleet's interned catalog makes every engine session groupable);
-/// only the throughput changes.
-pub fn serve_point_batched(
-    config: &ServingConfig,
-    path: &str,
-    capacity_per_shard: usize,
-) -> Result<ServingPoint> {
-    let (mut store, fleet) = build_fleet(config, capacity_per_shard)?;
-    serve_fleet(
-        &mut store,
-        &fleet,
-        config,
-        path,
-        capacity_per_shard,
-        DriveMode::Lockstep,
-    )
-}
-
-/// [`serve_point`] through [`ServingLoop::run_scored`]: shard workers submit
-/// pending presents to a shared cross-shard [`ScoringService`](pkgrec_serve::ScoringService) whose batcher
-/// stacks same-catalog submissions fleet-wide into one kernel sweep per
-/// group, gated by the adaptive admission policy in `scoring`.  Outcomes
-/// stay bit-identical to the serial paths; the admission counters
-/// (`batched_sessions` / `admission_fallbacks` / `batch_wait_us`) land in
-/// the point's [`StoreStats`].
-pub fn serve_point_scored(
-    config: &ServingConfig,
-    path: &str,
-    capacity_per_shard: usize,
-    scoring: &ScoringConfig,
-) -> Result<ServingPoint> {
-    let (mut store, fleet) = build_fleet(config, capacity_per_shard)?;
-    serve_fleet(
-        &mut store,
-        &fleet,
-        config,
-        path,
-        capacity_per_shard,
-        DriveMode::Scored(scoring),
-    )
-}
-
-/// How [`serve_fleet`] drives the fleet through [`ServingLoop`].
-enum DriveMode<'a> {
-    /// Per-session serial serving ([`ServingLoop::run`]).
-    Serial,
-    /// Per-shard lockstep rounds ([`ServingLoop::run_batched`]).
-    Lockstep,
-    /// Cross-shard scoring service ([`ServingLoop::run_scored`]).
-    Scored(&'a ScoringConfig),
+    serve_fleet(&mut store, &fleet, config, path, capacity_per_shard)
 }
 
 /// The measurement half of [`serve_point`]: drives an already-built fleet
@@ -265,21 +203,13 @@ fn serve_fleet(
     config: &ServingConfig,
     path: &str,
     capacity_per_shard: usize,
-    mode: DriveMode<'_>,
 ) -> Result<ServingPoint> {
     let elicitation = ElicitationConfig {
         max_rounds: config.max_rounds,
         stable_rounds: 2,
     };
     let start = Instant::now();
-    let mut serving = ServingLoop::new(store);
-    let outcomes = match mode {
-        DriveMode::Serial => serving.run(fleet, elicitation, config.threads)?,
-        DriveMode::Lockstep => serving.run_batched(fleet, elicitation, config.threads)?,
-        DriveMode::Scored(scoring) => {
-            serving.run_scored(fleet, elicitation, config.threads, scoring)?
-        }
-    };
+    let outcomes = ServingLoop::new(store).run(fleet, elicitation, config.threads)?;
     let elapsed = start.elapsed();
 
     let mut search = AggregatedSearchStats::default();
@@ -363,14 +293,7 @@ pub fn durability_point(config: &ServingConfig) -> Result<DurabilityPoint> {
     // reclaims.
     let capacity = (config.sessions / (config.shards.max(1) * 2)).max(1);
     let (mut store, fleet) = build_durable_fleet(config, capacity, DurabilityConfig::at(&dir))?;
-    let serving = serve_fleet(
-        &mut store,
-        &fleet,
-        config,
-        "durable-log",
-        capacity,
-        DriveMode::Serial,
-    )?;
+    let serving = serve_fleet(&mut store, &fleet, config, "durable-log", capacity)?;
 
     // Footprints: the v1 serialisation embeds a full catalog copy per
     // `Created` event; the segmented log interns it and, after compaction,
@@ -461,8 +384,6 @@ impl ServingResult {
                 "hits",
                 "evictions",
                 "restores",
-                "batched sess",
-                "fallbacks",
                 "snapshots",
                 "segments",
                 "appended KB",
@@ -490,8 +411,6 @@ impl ServingResult {
                 p.store.hits.to_string(),
                 p.store.evictions.to_string(),
                 p.store.restores.to_string(),
-                p.store.batched_sessions.to_string(),
-                p.store.admission_fallbacks.to_string(),
                 p.store.snapshots.to_string(),
                 p.store.segments_written.to_string(),
                 format!("{:.1}", p.store.bytes_appended as f64 / 1024.0),
@@ -543,31 +462,15 @@ impl ServingResult {
     }
 }
 
-/// Runs the serving experiment: the same fleet through the store-hit,
-/// batched (per-shard lockstep), batched-xshard (cross-shard scoring
-/// service), admission-fallback (the same service with admission forced
-/// off, measuring the fallback path) and snapshot-restore memory paths,
-/// then through the durable segmented log (with compaction and
-/// kill/recover measurements).
+/// Runs the serving experiment: the same fleet through the store-hit and
+/// snapshot-restore memory paths, then through the durable segmented log
+/// (with compaction and kill/recover measurements).
 pub fn run(config: &ServingConfig) -> Result<ServingResult> {
-    use pkgrec_serve::AdmissionMode;
-    let ample = config.sessions.max(1);
-    let hit = serve_point(config, "store-hit", ample)?;
-    let batched = serve_point_batched(config, "batched", ample)?;
-    let xshard = serve_point_scored(config, "batched-xshard", ample, &ScoringConfig::default())?;
-    let fallback = serve_point_scored(
-        config,
-        "admission-fallback",
-        ample,
-        &ScoringConfig {
-            mode: AdmissionMode::Never,
-            ..ScoringConfig::default()
-        },
-    )?;
+    let hit = serve_point(config, "store-hit", config.sessions.max(1))?;
     let restore = serve_point(config, "snapshot-restore", 1)?;
     let durability = durability_point(config)?;
     Ok(ServingResult {
-        points: vec![hit, batched, xshard, fallback, restore],
+        points: vec![hit, restore],
         durability,
     })
 }
@@ -591,50 +494,23 @@ mod tests {
     #[test]
     fn serving_experiment_runs_and_reports() {
         let result = run(&tiny()).unwrap();
-        assert_eq!(result.points.len(), 5);
+        assert_eq!(result.points.len(), 2);
         let hit = &result.points[0];
-        let batched = &result.points[1];
-        let xshard = &result.points[2];
-        let fallback = &result.points[3];
-        let restore = &result.points[4];
+        let restore = &result.points[1];
         assert_eq!(hit.path, "store-hit");
-        assert_eq!(batched.path, "batched");
-        assert_eq!(xshard.path, "batched-xshard");
-        assert_eq!(fallback.path, "admission-fallback");
         assert_eq!(restore.path, "snapshot-restore");
         assert_eq!(hit.sessions, 6);
         // The ample store never rehydrates; the starved store must.
         assert_eq!(hit.store.restores, 0);
         assert!(restore.store.restores > 0);
         assert!(restore.store.evictions > 0);
-        // Same fleet, same deterministic outcomes on every path — including
-        // the lockstep batched one and both scoring-service shapes.
-        for point in [restore, batched, xshard, fallback] {
-            assert_eq!(hit.mean_clicks, point.mean_clicks, "{}", point.path);
-            assert_eq!(hit.converged, point.converged, "{}", point.path);
-            assert_eq!(hit.mean_precision, point.mean_precision, "{}", point.path);
-        }
-        // The interned catalog makes engine sessions groupable, so the
-        // batched path actually ran shared kernel sweeps.
-        assert!(batched.store.batched_presents > 0);
-        assert!(batched.store.batched_groups > 0);
-        assert!(batched.store.batched_presents > batched.store.batched_groups);
-        // The cross-shard point routed sessions through the scoring service
-        // (round one admits optimistically, so the counters must move) ...
-        assert!(xshard.store.batched_sessions > 0);
-        assert!(xshard.store.batched_groups > 0);
-        assert!(xshard.store.batched_presents >= xshard.store.batched_sessions);
-        // ... and the forced-fallback point records every declined group
-        // while batching nothing.
-        assert!(fallback.store.admission_fallbacks > 0);
-        assert_eq!(fallback.store.batched_sessions, 0);
-        assert_eq!(fallback.store.batched_groups, 0);
+        // Same fleet, same deterministic outcomes on both paths.
+        assert_eq!(hit.mean_clicks, restore.mean_clicks);
+        assert_eq!(hit.converged, restore.converged);
+        assert_eq!(hit.mean_precision, restore.mean_precision);
         assert!(hit.search.searches > 0);
         let markdown = result.table().to_markdown();
         assert!(markdown.contains("store-hit"));
-        assert!(markdown.contains("batched"));
-        assert!(markdown.contains("batched-xshard"));
-        assert!(markdown.contains("admission-fallback"));
         assert!(markdown.contains("snapshot-restore"));
         assert!(markdown.contains("durable-log"));
 

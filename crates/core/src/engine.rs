@@ -20,7 +20,9 @@ use crate::maintenance::{self, MaintenanceStrategy};
 use crate::package::Package;
 use crate::preferences::{Preference, PreferenceStore};
 use crate::profile::{AggregationContext, Profile};
-use crate::ranking::{aggregate, PerSampleRanking, RankedPackage, RankingSemantics};
+use crate::ranking::{
+    aggregate, per_sample_rankings_from_scores, PerSampleRanking, RankedPackage, RankingSemantics,
+};
 use crate::recommender::{self, Feedback};
 use crate::sampler::{SamplePool, SamplerKind};
 use crate::search::AggregatedSearchStats;
@@ -327,41 +329,31 @@ impl RecommenderEngine {
     /// Builds the presentation list of one elicitation round: the current
     /// best packages (exploitation) followed by random packages (exploration),
     /// de-duplicated (Section 2.2).
+    ///
+    /// Every present runs this one body: [`RecommenderEngine::prepare_present`]
+    /// → [`score_stacked`] → [`RecommenderEngine::present_from_scores`], all
+    /// on the calling thread.
     pub fn present(&mut self, rng: &mut dyn RngCore) -> Result<Vec<Package>> {
-        let mut shown: Vec<Package> = self
-            .recommend(rng)?
-            .into_iter()
-            .map(|r| r.package)
-            .collect();
-        recommender::extend_with_random_packages(
-            &mut shown,
-            self.config.k + self.config.num_random,
-            self.catalog.len(),
-            self.context.max_package_size(),
-            rng,
-        );
-        Ok(shown)
+        let prep = self.prepare_present(rng)?;
+        let scores = score_stacked(&[&prep]);
+        Ok(self.present_from_scores(&prep, 0, &scores, rng))
     }
 
     /// Runs the *mutating* half of one `present` round and captures every
-    /// artefact the scoring sweep needs, without running the sweep itself.
+    /// artefact the scoring sweep needs, without running the sweep itself —
+    /// the first stage of [`RecommenderEngine::present`].
     ///
-    /// This is the submission side of the batched-present decomposition
-    /// (`prepare_present` → [`score_stacked`] → [`RecommenderEngine::present_from_scores`]):
-    /// an empty pool resamples through the caller's RNG exactly where the
-    /// serial [`RecommenderEngine::present`] would, candidate discovery
-    /// (`Top-k-Pkg`) runs the same per-engine call and merges its search
-    /// stats, and the current pool rows are copied out so the sweep can run
-    /// *after* the engine borrow ends — on another thread, stacked with
-    /// other sessions' preps, or locally as a singleton group.
+    /// An empty pool resamples through the caller's RNG first, candidate
+    /// discovery (`Top-k-Pkg`) runs and merges its search stats, and the
+    /// current pool rows are copied into the prep, so the prep owns
+    /// everything [`score_stacked`] reads and can be scored without the
+    /// engine.
     ///
     /// The RNG must not be touched between this call and the matching
-    /// [`RecommenderEngine::present_from_scores`]: the serial stream order
-    /// within one present is resample → discovery (no draws) → random
-    /// exploration tail.
+    /// [`RecommenderEngine::present_from_scores`]: the stream order within
+    /// one present is resample → discovery (no draws) → random exploration
+    /// tail.
     pub fn prepare_present(&mut self, rng: &mut dyn RngCore) -> Result<PresentPrep> {
-        // The serial `present` resamples an empty pool from the caller's RNG
-        // before anything else; keep that stream position.
         if self.pool.is_empty() {
             self.resample(rng)?;
         }
@@ -384,18 +376,15 @@ impl RecommenderEngine {
     }
 
     /// Runs the post-sweep half of one `present` round: per-sample rankings
-    /// read back through the union remap, semantic aggregation, and the
+    /// read back from the prep's score matrix, semantic aggregation, and the
     /// random exploration tail drawn from the *same* RNG that was handed to
     /// [`RecommenderEngine::prepare_present`].
     ///
     /// `member` is this prep's position in the `preps` slice handed to
-    /// [`score_stacked`].  The result is bit-identical to what the serial
-    /// [`RecommenderEngine::present`] would have returned from the same
-    /// state and RNG — every score cell is the same feature-ordered dot
-    /// product regardless of what else shares the stack.
+    /// [`score_stacked`].
     ///
     /// # Panics
-    /// Panics if `member` does not index this prep's slot in `stacked`.
+    /// Panics if `member` does not index this prep's scores in `stacked`.
     pub fn present_from_scores(
         &self,
         prep: &PresentPrep,
@@ -403,27 +392,12 @@ impl RecommenderEngine {
         stacked: &StackedScores,
         rng: &mut dyn RngCore,
     ) -> Vec<Package> {
-        let remap = &stacked.remaps[member];
-        let col_offset = stacked.col_offsets[member];
-        let importances = prep.samples.importances();
-        let rankings: Vec<PerSampleRanking> = prep
-            .per_sample
-            .iter()
-            .enumerate()
-            .map(|(s, indices)| {
-                let ranked = indices
-                    .iter()
-                    .map(|&c| {
-                        let u = remap[c];
-                        (
-                            stacked.union[u].clone(),
-                            stacked.scores.get(u, col_offset + s),
-                        )
-                    })
-                    .collect();
-                PerSampleRanking::new(importances[s], ranked)
-            })
-            .collect();
+        let rankings = per_sample_rankings_from_scores(
+            &prep.candidates,
+            &stacked.scores[member],
+            prep.samples.importances(),
+            &prep.per_sample,
+        );
         let mut shown: Vec<Package> = aggregate(self.config.semantics, &rankings, self.config.k)
             .into_iter()
             .map(|r| r.package)
@@ -436,65 +410,6 @@ impl RecommenderEngine {
             rng,
         );
         shown
-    }
-
-    /// Builds one presentation round for a whole *group* of engines that
-    /// share a catalog, profile and maximum package size, feeding the union
-    /// of every session's discovered candidates and the concatenation of
-    /// every session's pool through **one** batched
-    /// [`score_batch`](crate::scoring::score_batch) invocation instead of
-    /// one kernel call per session.
-    ///
-    /// Each element pairs an engine with the RNG its `present` would have
-    /// received; the returned lists are positionally aligned with the input
-    /// and **bit-identical** to calling [`RecommenderEngine::present`] on
-    /// each engine with its own RNG:
-    ///
-    /// * empty pools resample through their own RNG first, exactly where the
-    ///   serial path would,
-    /// * candidate discovery (`Top-k-Pkg`) is the same per-engine call,
-    /// * every score cell is the same feature-ordered dot product — stacking
-    ///   more sample columns next to it cannot change its value — and the
-    ///   union rows reuse the per-engine candidate vectors, which equal
-    ///   contexts compute identically,
-    /// * the random exploration tail draws from each session's own RNG in
-    ///   the serial order.
-    ///
-    /// The grouping precondition (equal catalogs and aggregation contexts)
-    /// is the caller's to uphold and is checked in debug builds only —
-    /// the serving layer groups sessions by their interned catalog handle.
-    ///
-    /// This is exactly [`RecommenderEngine::prepare_present`] →
-    /// [`score_stacked`] → [`RecommenderEngine::present_from_scores`] with
-    /// all three stages on the calling thread; the cross-shard scoring
-    /// service in `pkgrec-serve` runs the same stages with the sweep hoisted
-    /// onto a shared batcher.
-    pub fn present_batch(
-        sessions: &mut [(&mut RecommenderEngine, &mut dyn RngCore)],
-    ) -> Result<Vec<Vec<Package>>> {
-        if sessions.is_empty() {
-            return Ok(Vec::new());
-        }
-        debug_assert!(
-            sessions
-                .iter()
-                .all(|(e, _)| e.catalog == sessions[0].0.catalog
-                    && e.context == sessions[0].0.context),
-            "present_batch groups must share one catalog and aggregation context"
-        );
-        let mut preps = Vec::with_capacity(sessions.len());
-        for (engine, rng) in sessions.iter_mut() {
-            preps.push(engine.prepare_present(&mut **rng)?);
-        }
-        let refs: Vec<&PresentPrep> = preps.iter().collect();
-        let stacked = score_stacked(&refs);
-        Ok(sessions
-            .iter_mut()
-            .zip(preps.iter().enumerate())
-            .map(|((engine, rng), (member, prep))| {
-                engine.present_from_scores(prep, member, &stacked, &mut **rng)
-            })
-            .collect())
     }
 
     /// Absorbs one pairwise preference `better ≻ worse` (with the better
@@ -589,15 +504,13 @@ impl RecommenderEngine {
     }
 }
 
-/// The per-session artefacts of one batched `present` round, produced by
-/// [`RecommenderEngine::prepare_present`] and consumed by
-/// [`RecommenderEngine::present_from_scores`].
+/// The artefacts of one `present` round, produced by
+/// [`RecommenderEngine::prepare_present`] and consumed by [`score_stacked`]
+/// and [`RecommenderEngine::present_from_scores`].
 ///
 /// A prep is self-contained — the discovered candidate slate, its feature
 /// vectors, the per-sample candidate indices, and a copy of the pool's
-/// weight rows — so it can leave the engine borrow, travel to a shared
-/// batcher, and be scored next to preps from *other* sessions (or alone:
-/// a singleton stack computes exactly the serial result).
+/// weight rows — so the sweep can run after the engine borrow ends.
 #[derive(Debug, Clone)]
 pub struct PresentPrep {
     candidates: Vec<Package>,
@@ -608,96 +521,47 @@ pub struct PresentPrep {
 }
 
 impl PresentPrep {
-    /// Number of candidate packages this session discovered (a cost hint
-    /// for admission policies: the sweep is `candidates × samples` cells).
+    /// Number of candidate packages discovery found (the sweep is
+    /// `candidates × samples` cells).
     pub fn num_candidates(&self) -> usize {
         self.candidates.len()
     }
 
-    /// Number of weight samples this session contributes to the stack.
+    /// Number of weight samples the sweep scores the candidates under.
     pub fn num_samples(&self) -> usize {
         self.samples.len()
     }
 }
 
-/// One kernel sweep's results over a stack of [`PresentPrep`]s: the union
-/// candidate slate, the score matrix, and each member's remap/column-offset
-/// into them.  Produced by [`score_stacked`], consumed by
-/// [`RecommenderEngine::present_from_scores`] — immutable, so one sweep can
-/// be shared (e.g. behind an `Arc`) by every member session's readback.
+/// The kernel sweep's results for each [`PresentPrep`] handed to
+/// [`score_stacked`], consumed by [`RecommenderEngine::present_from_scores`].
 #[derive(Debug)]
 pub struct StackedScores {
-    union: Vec<Package>,
-    scores: crate::scoring::ScoreMatrix,
-    remaps: Vec<Vec<usize>>,
-    col_offsets: Vec<usize>,
+    scores: Vec<crate::scoring::ScoreMatrix>,
 }
 
 impl StackedScores {
-    /// Number of member preps the stack was built from.
-    pub fn members(&self) -> usize {
-        self.remaps.len()
-    }
-
-    /// Size of the union candidate slate the sweep scored.
+    /// Number of candidate rows the sweep scored, summed over its preps.
     pub fn union_len(&self) -> usize {
-        self.union.len()
+        self.scores
+            .iter()
+            .map(crate::scoring::ScoreMatrix::num_candidates)
+            .sum()
     }
 }
 
-/// Scores a stack of [`PresentPrep`]s in **one** batched
-/// [`score_batch`](crate::scoring::score_batch) sweep: member candidate
-/// slates are deduplicated into a union (first appearance wins, reusing the
-/// introducing member's feature vectors — equal contexts compute identical
-/// vectors), member sample rows are concatenated into one
-/// [`WeightMatrix`](crate::scoring::WeightMatrix), and the kernel runs once
-/// over `union × stack` with the largest member thread hint.
-///
-/// Every prep in the stack must come from engines sharing one catalog and
-/// aggregation context (the same precondition as
-/// [`RecommenderEngine::present_batch`], upheld by the caller).  Because
-/// each score cell is an independent dot product and the kernel is
-/// bit-stable across thread counts, member results never depend on who else
-/// shares the stack.
+/// Scores each prep's candidates under its own samples: one
+/// [`score_batch_threaded`](crate::scoring::score_batch_threaded) sweep of
+/// `candidates × samples` per prep, split across the prep's thread budget
+/// (the kernel is bit-stable across thread counts).
 pub fn score_stacked(preps: &[&PresentPrep]) -> StackedScores {
-    let dim = preps.first().map_or(0, |prep| prep.vectors.dim());
-    let mut union: Vec<Package> = Vec::new();
-    let mut union_index: std::collections::HashMap<Package, usize> =
-        std::collections::HashMap::new();
-    let mut union_vectors = crate::scoring::CandidateMatrix::new(dim);
-    let mut stacked = crate::scoring::WeightMatrix::new(dim);
-    let mut remaps = Vec::with_capacity(preps.len());
-    let mut col_offsets = Vec::with_capacity(preps.len());
-    let mut threads = 1usize;
-    for prep in preps {
-        threads = threads.max(prep.num_threads);
-        let remap: Vec<usize> = prep
-            .candidates
-            .iter()
-            .enumerate()
-            .map(|(i, package)| match union_index.get(package) {
-                Some(&u) => u,
-                None => {
-                    let u = union.len();
-                    union_vectors.push_row(prep.vectors.row(i));
-                    union_index.insert(package.clone(), u);
-                    union.push(package.clone());
-                    u
-                }
-            })
-            .collect();
-        col_offsets.push(stacked.len());
-        for s in 0..prep.samples.len() {
-            stacked.push(prep.samples.row(s), prep.samples.importance(s));
-        }
-        remaps.push(remap);
-    }
-    let scores = crate::scoring::score_batch_threaded(&union_vectors, &stacked, threads);
     StackedScores {
-        union,
-        scores,
-        remaps,
-        col_offsets,
+        scores: preps
+            .iter()
+            .map(|prep| {
+                crate::scoring::score_batch_threaded(&prep.vectors, &prep.samples, prep.num_threads)
+            })
+            .collect(),
     }
 }
 
@@ -960,10 +824,11 @@ mod tests {
     }
 
     #[test]
-    fn present_batch_is_bit_identical_to_serial_presents() {
-        // A mixed group: different seeds, different k, one engine mid-session
-        // (so one pool is constrained), one empty-pool engine (resamples
-        // through its own RNG inside the batch).
+    fn stacked_preps_are_bit_identical_to_serial_presents() {
+        // Several engines' preps scored by one `score_stacked` call read
+        // back exactly what each engine's own `present` returns: different
+        // seeds and k, one pool constrained by a click, one empty pool that
+        // resamples inside `prepare_present`.
         let configs = [
             fast_config(),
             EngineConfig {
@@ -978,7 +843,6 @@ mod tests {
         ];
         let mut serial: Vec<RecommenderEngine> =
             configs.iter().map(|c| engine(c.clone())).collect();
-        // Engine 0 absorbs a click first so its pool differs from the prior.
         {
             let mut rng = StdRng::seed_from_u64(41);
             let shown = serial[0].present(&mut rng).unwrap();
@@ -986,59 +850,45 @@ mod tests {
                 .record_feedback(&shown, Feedback::Click { index: 0 }, &mut rng)
                 .unwrap();
         }
-        let mut batched = serial.clone();
-
-        for round in 0..2 {
-            let mut serial_rngs: Vec<StdRng> = (0..serial.len())
-                .map(|i| StdRng::seed_from_u64(1000 + round * 10 + i as u64))
-                .collect();
-            let mut batched_rngs = serial_rngs.clone();
-            let expected: Vec<Vec<Package>> = serial
-                .iter_mut()
-                .zip(serial_rngs.iter_mut())
-                .map(|(e, rng)| e.present(rng).unwrap())
-                .collect();
-            let mut group: Vec<(&mut RecommenderEngine, &mut dyn RngCore)> = batched
-                .iter_mut()
-                .zip(batched_rngs.iter_mut())
-                .map(|(e, rng)| (e, rng as &mut dyn RngCore))
-                .collect();
-            let got = RecommenderEngine::present_batch(&mut group).unwrap();
-            assert_eq!(got, expected, "round {round}");
-            // The RNG streams advanced identically.
-            for (a, b) in serial_rngs.iter_mut().zip(batched_rngs.iter_mut()) {
-                assert_eq!(rand::RngCore::next_u64(a), rand::RngCore::next_u64(b));
-            }
-            // Both arms absorb the same feedback to keep evolving together.
-            // A contradictory click can exhaust the maintenance sampler;
-            // that failure is deterministic, so it must strike both arms
-            // identically (a failed round rolls the comparison forward
-            // without new constraints).
-            let mut poisoned = false;
-            for ((a, b), shown) in serial
-                .iter_mut()
-                .zip(batched.iter_mut())
-                .zip(expected.iter())
-            {
-                let mut rng_a = StdRng::seed_from_u64(7 + round);
-                let mut rng_b = rng_a.clone();
-                let fed_a = a.record_feedback(shown, Feedback::Click { index: 1 }, &mut rng_a);
-                let fed_b = b.record_feedback(shown, Feedback::Click { index: 1 }, &mut rng_b);
-                assert_eq!(fed_a.is_ok(), fed_b.is_ok(), "round {round}");
-                poisoned |= fed_a.is_err();
-            }
-            if poisoned {
-                break;
-            }
+        let mut stacked = serial.clone();
+        let mut serial_rngs: Vec<StdRng> = (0..serial.len())
+            .map(|i| StdRng::seed_from_u64(1000 + i as u64))
+            .collect();
+        let mut stacked_rngs = serial_rngs.clone();
+        let expected: Vec<Vec<Package>> = serial
+            .iter_mut()
+            .zip(serial_rngs.iter_mut())
+            .map(|(e, rng)| e.present(rng).unwrap())
+            .collect();
+        let preps: Vec<PresentPrep> = stacked
+            .iter_mut()
+            .zip(stacked_rngs.iter_mut())
+            .map(|(e, rng)| e.prepare_present(rng).unwrap())
+            .collect();
+        let refs: Vec<&PresentPrep> = preps.iter().collect();
+        let scores = score_stacked(&refs);
+        assert_eq!(
+            scores.union_len(),
+            preps.iter().map(PresentPrep::num_candidates).sum::<usize>()
+        );
+        for (member, ((e, rng), prep)) in stacked
+            .iter()
+            .zip(stacked_rngs.iter_mut())
+            .zip(&preps)
+            .enumerate()
+        {
+            let shown = e.present_from_scores(prep, member, &scores, rng);
+            assert_eq!(shown, expected[member], "member {member}");
         }
-        // Search statistics accumulated identically through both arms.
-        for (a, b) in serial.iter().zip(batched.iter()) {
+        for ((a, b), (ra, rb)) in serial
+            .iter()
+            .zip(&stacked)
+            .zip(serial_rngs.iter_mut().zip(stacked_rngs.iter_mut()))
+        {
             assert_eq!(a.search_stats(), b.search_stats());
             assert_eq!(a.pool(), b.pool());
+            assert_eq!(rand::RngCore::next_u64(ra), rand::RngCore::next_u64(rb));
         }
-        assert!(RecommenderEngine::present_batch(&mut [])
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -119,8 +119,8 @@ pub use sampler::{
     SamplingOutcome, WeightSample, WeightSampler,
 };
 pub use scoring::{
-    score_batch, score_batch_threaded, score_batch_unrolled, CandidateMatrix, ScoreMatrix,
-    WeightMatrix, SAMPLE_BLOCK, WEIGHT_STRIDE_LANES,
+    score_batch, score_batch_threaded, CandidateMatrix, ScoreMatrix, WeightMatrix, SAMPLE_BLOCK,
+    WEIGHT_STRIDE_LANES,
 };
 pub use search::{
     top_k_packages, top_k_packages_exhaustive, top_k_packages_reference, top_k_packages_with_lists,

@@ -45,14 +45,13 @@
 //!   the exact shape LLVM recognises as a vectorisable
 //!   broadcast-multiply-accumulate.  Per-cell summation still runs feature
 //!   index `j = 0..dim` in ascending order, so every score is bit-identical
-//!   to the scalar [`dot`] and to the unrolled comparison arm.
+//!   to the scalar [`dot`].
 //! * **Monomorphised dimensionality** — dimensionalities up to
 //!   [`MAX_UNROLLED_DIM`] dispatch to a `const D` kernel, so the feature
 //!   loop has a compile-time trip count and no bounds checks survive.
 //!
-//! The previous production kernel — per-cell unrolled dots with no lane
-//! blocking — is kept as [`score_batch_unrolled`], the comparison arm that
-//! `fig_scoring` measures against (`BENCH_scoring.json`).
+//! `fig_scoring` races this kernel against the scalar [`dot`] path
+//! (`BENCH_scoring.json`).
 //!
 //! # Example
 //!
@@ -653,57 +652,6 @@ fn score_rows_generic(
     }
 }
 
-/// [`score_batch`] through the *pre-blocking* production kernel: per-cell
-/// fully unrolled dots with no sample-lane blocking.  Kept as the comparison
-/// arm `fig_scoring` measures the lane-blocked kernel against; results are
-/// bit-identical to [`score_batch`] (same ascending-feature summation).
-pub fn score_batch_unrolled(candidates: &CandidateMatrix, weights: &WeightMatrix) -> ScoreMatrix {
-    if !candidates.is_empty() && !weights.is_empty() {
-        assert_eq!(
-            candidates.dim(),
-            weights.dim(),
-            "candidate dimensionality {} does not match sample dimensionality {}",
-            candidates.dim(),
-            weights.dim()
-        );
-    }
-    let rows = candidates.len();
-    let samples = weights.len();
-    let dim = weights.dim();
-    let mut data = Vec::with_capacity(rows * samples);
-    if dim == 0 || samples == 0 || rows == 0 {
-        data.resize(rows * samples, 0.0);
-    } else {
-        macro_rules! dispatch {
-            ($($d:literal),+) => {
-                match dim {
-                    $($d => {
-                        let stride = weights.stride();
-                        let flat = weights.weights_flat();
-                        for c in 0..rows {
-                            let cand: &[f64; $d] = candidates
-                                .row(c)
-                                .try_into()
-                                .expect("candidate rows match the dispatched dimensionality");
-                            data.extend(
-                                flat.chunks_exact(stride)
-                                    .map(|w| lane_dot::<$d>(cand, w)),
-                            );
-                        }
-                    })+
-                    _ => score_rows_generic(candidates, weights, 0, rows, Sink::Append(&mut data)),
-                }
-            };
-        }
-        dispatch!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16);
-    }
-    ScoreMatrix {
-        candidates: rows,
-        samples,
-        data,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,12 +680,27 @@ mod tests {
 
     #[test]
     fn kernel_matches_the_scalar_dot_product() {
-        let (cand, weights) = random_matrices(37, 301, 5, 1);
-        let scores = score_batch(&cand, &weights);
-        for c in 0..cand.len() {
-            for s in 0..weights.len() {
-                let expected = dot(cand.row(c), weights.row(s));
-                assert_eq!(scores.get(c, s), expected, "candidate {c} sample {s}");
+        // Shapes straddling the SAMPLE_BLOCK boundary (remainder lanes) and
+        // MAX_UNROLLED_DIM (17 takes the generic fallback).
+        for (candidates, samples, dim) in [
+            (37, 301, 5),
+            (1, 1, 2),
+            (3, 7, 5),
+            (5, 8, 3),
+            (7, 9, 4),
+            (11, 1000, 6),
+            (13, 257, 17),
+        ] {
+            let (cand, weights) = random_matrices(candidates, samples, dim, 11);
+            let scores = score_batch(&cand, &weights);
+            for c in 0..candidates {
+                for s in 0..samples {
+                    assert_eq!(
+                        scores.get(c, s),
+                        dot(cand.row(c), weights.row(s)),
+                        "{candidates}x{samples}x{dim} cell ({c},{s})"
+                    );
+                }
             }
         }
     }
@@ -874,34 +837,6 @@ mod tests {
         m.push(&[1.0, 2.0, 3.0], 1.0);
         m.set_row(0, &[4.0, 5.0, 6.0], 2.0);
         assert_eq!(m.weights_flat(), &[4.0, 5.0, 6.0, 0.0]);
-    }
-
-    #[test]
-    fn blocked_kernel_is_bit_identical_to_the_unrolled_arm() {
-        // Shapes straddling the SAMPLE_BLOCK boundary (remainder lanes) and
-        // the unrolled-dim ceiling (generic fallback).
-        for (candidates, samples, dim) in [
-            (1, 1, 2),
-            (3, 7, 5),
-            (5, 8, 3),
-            (7, 9, 4),
-            (11, 1000, 6),
-            (13, 257, 17),
-        ] {
-            let (cand, weights) = random_matrices(candidates, samples, dim, 11);
-            let blocked = score_batch(&cand, &weights);
-            let unrolled = score_batch_unrolled(&cand, &weights);
-            assert_eq!(blocked, unrolled, "{candidates}x{samples}x{dim}");
-            for c in 0..candidates {
-                for s in 0..samples {
-                    assert_eq!(
-                        blocked.get(c, s),
-                        dot(cand.row(c), weights.row(s)),
-                        "{candidates}x{samples}x{dim} cell ({c},{s})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

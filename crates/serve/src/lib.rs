@@ -5,7 +5,7 @@
 //! (preference DAG, sample pool, prior), and this crate owns the lifecycle
 //! of many such sessions at once so application code never has to.
 //!
-//! Five pieces compose the layer:
+//! Four pieces compose the layer:
 //!
 //! * [`SessionStore`] — a sharded map of sessions (hash by [`SessionId`],
 //!   `&mut`-splittable shards, no locks) with ordered-index LRU eviction
@@ -23,22 +23,11 @@
 //! * [`ServingLoop`] — a [`std::thread::scope`] driver that steps many
 //!   concurrent simulated sessions shard-parallel through the *generic*
 //!   core elicitation driver, with outcomes independent of thread count,
-//!   shard count and capacity pressure,
-//! * the **cross-shard scoring service** ([`ScoringService`], the
-//!   [`scoring`] module) — the seam that decomposes a present into
-//!   [`Shard::prepare_presents`] → a [`Submission`] to a shared batcher
-//!   → [`Shard::commit_present`]: the batcher groups the whole fleet's
-//!   pending work by interned catalog, stacks each group into one kernel
-//!   sweep, and an adaptive [`AdmissionPolicy`] (group-size / queue-depth
-//!   floors, then an EWMA comparison of measured batched vs serial cost)
-//!   falls work back to audited serial scoring when a sweep would not pay
-//!   for itself.  Results are bit-identical to serial serving either way
-//!   — journaling, `(seed, ops)` RNG draws and rollback never leave the
-//!   shard; [`ServingLoop::run_scored`] drives it in-process (lockstep
-//!   rendezvous), `pkgrec-server` drives it from the TCP request loop
-//!   (open-mode group commit), and [`SessionStore::present_many`] is the
-//!   single-threaded driver.  [`StoreStats`] audits every decision
-//!   (`batched_sessions` / `admission_fallbacks` / `batch_wait_us`).
+//!   shard count and capacity pressure.
+//!
+//! Every `present` a shard serves runs the engine's one present body on
+//! the shard owner's thread; no present is scored alongside another
+//! session's.
 //!
 //! ## The log is the database
 //!
@@ -167,7 +156,6 @@ pub mod config;
 pub mod durable;
 pub mod fault;
 pub mod journal;
-pub mod scoring;
 pub mod segment;
 pub mod serving;
 pub mod store;
@@ -179,12 +167,6 @@ pub use config::{
 pub use durable::DurabilityConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSite, PlannedFault};
 pub use journal::{Journal, JournalRecord, ReplayedSession, SessionEvent};
-pub use scoring::{
-    AdmissionMode, AdmissionPolicy, PolicySnapshot, ScoringConfig, ScoringService, ScoringWorker,
-    Submission, Verdict, VerdictOutcome,
-};
 pub use segment::{CatalogId, WireEvent, WireRecord};
 pub use serving::{ServingLoop, SessionDriver, SessionOutcome};
-pub use store::{
-    CommittedPresent, CompactionStats, PendingPresent, SessionStore, Shard, StoreConfig, StoreStats,
-};
+pub use store::{CompactionStats, SessionStore, Shard, StoreConfig, StoreStats};

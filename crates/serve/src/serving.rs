@@ -16,15 +16,14 @@
 //! scheduling and capacity pressure cannot change what any session does.
 
 use pkgrec_core::{
-    run_elicitation, AggregatedSearchStats, Catalog, CoreError, ElicitationConfig, Feedback,
-    Package, RankedPackage, Recommender, RecommenderState, Result, SimulatedUser,
+    run_elicitation, AggregatedSearchStats, Catalog, ElicitationConfig, Feedback, Package,
+    RankedPackage, Recommender, RecommenderState, Result, SimulatedUser,
 };
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{shard_of, user_rng, SessionId};
-use crate::scoring::{ScoringConfig, ScoringService, Verdict};
-use crate::store::{PendingPresent, SessionStore, Shard};
+use crate::store::{SessionStore, Shard};
 
 /// A [`Recommender`] view of one stored session: every call becomes the
 /// matching journaled shard operation (the caller's RNG is ignored — the
@@ -121,113 +120,6 @@ impl<'a> ServingLoop<'a> {
         elicitation: ElicitationConfig,
         threads: usize,
     ) -> Result<Vec<SessionOutcome>> {
-        self.run_with(sessions, elicitation, threads, false)
-    }
-
-    /// [`ServingLoop::run`] with each shard's sessions driven in *lockstep*:
-    /// every round presents the shard's still-active sessions through one
-    /// [`Shard::op_present_batch`] call, so same-catalog engine sessions
-    /// share a single batched kernel sweep per round instead of one each.
-    ///
-    /// Outcomes are identical to [`ServingLoop::run`]: every session draws
-    /// from its own `(seed, ops)` operation streams and its own user RNG, so
-    /// interleaving rounds across sessions cannot change what any session
-    /// sees — the `serving_store` suite and `fig_serving` assert the
-    /// equality.
-    pub fn run_batched(
-        &mut self,
-        sessions: &[(SessionId, SimulatedUser)],
-        elicitation: ElicitationConfig,
-        threads: usize,
-    ) -> Result<Vec<SessionOutcome>> {
-        self.run_with(sessions, elicitation, threads, true)
-    }
-
-    /// [`ServingLoop::run_batched`] with every round's batchable `present`
-    /// work routed through a shared cross-shard [`ScoringService`]: each
-    /// worker prepares its shards' still-active sessions, submits the
-    /// pending work to the fleet-wide batcher, and commits the routed
-    /// verdicts — so same-catalog sessions on *different* shards (and
-    /// different worker threads) share one stacked kernel sweep per round.
-    ///
-    /// The service's [`AdmissionPolicy`](crate::scoring::AdmissionPolicy)
-    /// decides per group whether batching is worth it; declined or
-    /// unbatchable sessions fall back to serial scoring with identical
-    /// results.  Outcomes are bit-identical to [`ServingLoop::run`] and
-    /// [`ServingLoop::run_batched`] for every thread count: journaling,
-    /// `(seed, ops)` RNG streams and rollback stay per-shard, and the
-    /// stacked sweep computes the same score cells a per-session sweep
-    /// would.
-    pub fn run_scored(
-        &mut self,
-        sessions: &[(SessionId, SimulatedUser)],
-        elicitation: ElicitationConfig,
-        threads: usize,
-        scoring: &ScoringConfig,
-    ) -> Result<Vec<SessionOutcome>> {
-        validate_lockstep(elicitation)?;
-        let shard_count = self.store.shard_count();
-        let mut groups: Vec<Vec<(SessionId, &SimulatedUser)>> = vec![Vec::new(); shard_count];
-        for (id, user) in sessions {
-            groups[shard_of(*id, shard_count)].push((*id, user));
-        }
-        let threads = threads.clamp(1, shard_count);
-        let chunk = shard_count.div_ceil(threads);
-        let workers = shard_count.div_ceil(chunk);
-        let service = ScoringService::with_workers(scoring.clone(), workers);
-        let shards = self.store.shards_mut();
-
-        let mut outcomes: Vec<SessionOutcome> = if workers <= 1 {
-            let mut all = Vec::with_capacity(sessions.len());
-            serve_chunk_scored(shards, &groups, elicitation, &service, &mut all)?;
-            all
-        } else {
-            let chunks: Vec<Result<Vec<SessionOutcome>>> = std::thread::scope(|scope| {
-                let service = &service;
-                let handles: Vec<_> = shards
-                    .chunks_mut(chunk)
-                    .zip(groups.chunks(chunk))
-                    .map(|(shard_chunk, group_chunk)| {
-                        scope.spawn(move || -> Result<Vec<SessionOutcome>> {
-                            let mut chunk_outcomes = Vec::new();
-                            serve_chunk_scored(
-                                shard_chunk,
-                                group_chunk,
-                                elicitation,
-                                service,
-                                &mut chunk_outcomes,
-                            )?;
-                            Ok(chunk_outcomes)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("serving thread does not panic"))
-                    .collect()
-            });
-            let mut all = Vec::with_capacity(sessions.len());
-            for chunk_result in chunks {
-                all.extend(chunk_result?);
-            }
-            all
-        };
-        outcomes.sort_unstable_by_key(|o| o.id);
-        Ok(outcomes)
-    }
-
-    fn run_with(
-        &mut self,
-        sessions: &[(SessionId, SimulatedUser)],
-        elicitation: ElicitationConfig,
-        threads: usize,
-        batched: bool,
-    ) -> Result<Vec<SessionOutcome>> {
-        let serve: ShardServeFn = if batched {
-            serve_shard_batched
-        } else {
-            serve_shard
-        };
         let shard_count = self.store.shard_count();
         let mut groups: Vec<Vec<(SessionId, &SimulatedUser)>> = vec![Vec::new(); shard_count];
         for (id, user) in sessions {
@@ -240,7 +132,7 @@ impl<'a> ServingLoop<'a> {
         let mut outcomes: Vec<SessionOutcome> = if threads <= 1 {
             let mut all = Vec::with_capacity(sessions.len());
             for (shard, group) in shards.iter_mut().zip(groups.iter()) {
-                serve(shard, group, elicitation, &mut all)?;
+                serve_shard(shard, group, elicitation, &mut all)?;
             }
             all
         } else {
@@ -252,7 +144,7 @@ impl<'a> ServingLoop<'a> {
                         scope.spawn(move || -> Result<Vec<SessionOutcome>> {
                             let mut chunk_outcomes = Vec::new();
                             for (shard, group) in shard_chunk.iter_mut().zip(group_chunk.iter()) {
-                                serve(shard, group, elicitation, &mut chunk_outcomes)?;
+                                serve_shard(shard, group, elicitation, &mut chunk_outcomes)?;
                             }
                             Ok(chunk_outcomes)
                         })
@@ -273,16 +165,6 @@ impl<'a> ServingLoop<'a> {
         Ok(outcomes)
     }
 }
-
-/// The per-shard serving body [`ServingLoop::run_with`] dispatches on:
-/// session-at-a-time ([`serve_shard`]) or lockstep batched
-/// ([`serve_shard_batched`]).
-type ShardServeFn = fn(
-    &mut Shard,
-    &[(SessionId, &SimulatedUser)],
-    ElicitationConfig,
-    &mut Vec<SessionOutcome>,
-) -> Result<()>;
 
 /// Serves one shard's sessions sequentially (the per-thread body).
 fn serve_shard(
@@ -309,330 +191,10 @@ fn serve_shard(
     Ok(())
 }
 
-/// Serves one shard's sessions in lockstep rounds (the batched per-thread
-/// body): each round presents every still-active session through one
-/// [`Shard::op_present_batch`] call, then mirrors the generic elicitation
-/// driver's convergence/feedback step per session.  The control flow is an
-/// exact transcript of [`run_elicitation`] — each session observes the same
-/// sequence of store operations and user-RNG draws it would serially, so the
-/// outcomes are identical; only the interleaving (and hence the kernel batch
-/// shape) changes.
-fn serve_shard_batched(
-    shard: &mut Shard,
-    group: &[(SessionId, &SimulatedUser)],
-    elicitation: ElicitationConfig,
-    outcomes: &mut Vec<SessionOutcome>,
-) -> Result<()> {
-    validate_lockstep(elicitation)?;
-    let mut states = lockstep_states(shard, group)?;
-
-    for _ in 0..elicitation.max_rounds {
-        let active: Vec<usize> = (0..states.len()).filter(|&i| !states[i].done).collect();
-        if active.is_empty() {
-            break;
-        }
-        let ids: Vec<SessionId> = active.iter().map(|&i| states[i].id).collect();
-        let shown_lists = shard.op_present_batch(&ids)?;
-        for (&i, shown) in active.iter().zip(shown_lists) {
-            round_step(shard, &mut states[i], shown, elicitation)?;
-        }
-    }
-
-    finalize_lockstep(shard, states, outcomes)
-}
-
-/// Per-session elicitation state, exactly the locals of
-/// [`run_elicitation`] plus a `done` flag for the lockstep scheduler.
-struct Lockstep<'u> {
-    id: SessionId,
-    user: &'u SimulatedUser,
-    catalog: std::sync::Arc<Catalog>,
-    label: String,
-    k: usize,
-    start_search: AggregatedSearchStats,
-    ground_truth: Vec<Package>,
-    rng: rand::rngs::StdRng,
-    previous: Option<Vec<Package>>,
-    stable: usize,
-    clicks: usize,
-    converged: bool,
-    last_recommendation: Vec<Package>,
-    done: bool,
-}
-
-fn validate_lockstep(elicitation: ElicitationConfig) -> Result<()> {
-    if elicitation.max_rounds == 0 || elicitation.stable_rounds == 0 {
-        return Err(CoreError::InvalidConfig(
-            "max_rounds and stable_rounds must be at least 1".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Builds the lockstep state for every session of one shard group.
-fn lockstep_states<'u>(
-    shard: &mut Shard,
-    group: &[(SessionId, &'u SimulatedUser)],
-) -> Result<Vec<Lockstep<'u>>> {
-    let mut states: Vec<Lockstep> = Vec::with_capacity(group.len());
-    for &(id, user) in group {
-        let config = shard.session_config(id)?;
-        let seed = config.seed;
-        let catalog = std::sync::Arc::clone(&config.catalog);
-        shard.ensure_live(id)?;
-        let state = shard.peek_state(id).expect("session was just made live");
-        let ground_truth = user.ground_truth_top_k(&catalog, state.k)?.into_packages();
-        states.push(Lockstep {
-            id,
-            user,
-            catalog,
-            label: state.label.clone(),
-            k: state.k,
-            start_search: state.search,
-            ground_truth,
-            rng: user_rng(seed),
-            previous: None,
-            stable: 0,
-            clicks: 0,
-            converged: false,
-            last_recommendation: Vec::new(),
-            done: false,
-        });
-    }
-    Ok(states)
-}
-
-/// One session's convergence/feedback step after its round's `present`
-/// returned `shown` — an exact transcript of the [`run_elicitation`] round
-/// body.  A converged session takes no feedback (the convergence check is on
-/// the recommended exploitation part only), mirroring the serial driver's
-/// `break`.
-fn round_step(
-    shard: &mut Shard,
-    s: &mut Lockstep,
-    shown: Vec<Package>,
-    elicitation: ElicitationConfig,
-) -> Result<()> {
-    s.last_recommendation = shown.iter().take(s.k).cloned().collect();
-    if s.previous.as_ref() == Some(&s.last_recommendation) {
-        s.stable += 1;
-        if s.stable + 1 >= elicitation.stable_rounds {
-            s.converged = true;
-            s.done = true;
-            return Ok(());
-        }
-    } else {
-        s.stable = 0;
-    }
-    s.previous = Some(s.last_recommendation.clone());
-
-    let choice = s.user.choose(&s.catalog, &shown, &mut s.rng)?;
-    shard.op_feedback(s.id, Feedback::Click { index: choice })?;
-    s.clicks += 1;
-    Ok(())
-}
-
-/// Converts finished lockstep states into [`SessionOutcome`]s.
-fn finalize_lockstep(
-    shard: &mut Shard,
-    states: Vec<Lockstep>,
-    outcomes: &mut Vec<SessionOutcome>,
-) -> Result<()> {
-    for s in states {
-        let hits = s
-            .last_recommendation
-            .iter()
-            .filter(|p| s.ground_truth.contains(p))
-            .count();
-        let precision = if s.last_recommendation.is_empty() {
-            0.0
-        } else {
-            hits as f64 / s.last_recommendation.len() as f64
-        };
-        shard.ensure_live(s.id)?;
-        let end = shard.peek_state(s.id).expect("session was just made live");
-        outcomes.push(SessionOutcome {
-            id: s.id,
-            label: s.label,
-            clicks: s.clicks,
-            converged: s.converged,
-            precision,
-            search: end.search.delta_since(&s.start_search),
-        });
-    }
-    Ok(())
-}
-
-/// The per-round body of [`serve_chunk_scored`]: every still-active session
-/// of every shard in the chunk is prepared, submitted to the shared
-/// [`ScoringService`] in one call, committed (batched pendings first — see
-/// [`Shard::commit_present`]), and stepped through feedback/convergence.
-///
-/// Returns `false` once no session in the chunk is still active.
-fn scored_round(
-    shards: &mut [Shard],
-    states: &mut [Vec<Lockstep>],
-    worker: &crate::scoring::ScoringWorker,
-    service: &ScoringService,
-    elicitation: ElicitationConfig,
-) -> Result<bool> {
-    // Prepare: per shard, every still-active session.  `PendingPresent`s are
-    // Option-wrapped so the two commit passes below can `take()` them
-    // positionally.
-    struct ShardRound {
-        shard: usize,
-        active: Vec<usize>,
-        pendings: Vec<Option<PendingPresent>>,
-    }
-    let mut round: Vec<ShardRound> = Vec::new();
-    for (si, shard_states) in states.iter().enumerate() {
-        let active: Vec<usize> = (0..shard_states.len())
-            .filter(|&i| !shard_states[i].done)
-            .collect();
-        if active.is_empty() {
-            continue;
-        }
-        let ids: Vec<SessionId> = active.iter().map(|&i| shard_states[i].id).collect();
-        match shards[si].prepare_presents(&ids) {
-            Ok(pendings) => round.push(ShardRound {
-                shard: si,
-                active,
-                pendings: pendings.into_iter().map(Some).collect(),
-            }),
-            Err(e) => {
-                // Abandon the pendings already prepared on earlier shards so
-                // their live state stays in sync with the journal.
-                for r in round {
-                    shards[r.shard].abort_presents(r.pendings.into_iter().flatten().collect());
-                }
-                return Err(e);
-            }
-        }
-    }
-    if round.is_empty() {
-        return Ok(false);
-    }
-
-    // Submit the whole chunk's batchable work in one rendezvous (an empty
-    // submission still checks in, so sibling workers never wait a full
-    // window on this worker's account).
-    let mut submissions = Vec::new();
-    let mut routes: Vec<(usize, usize)> = Vec::new();
-    for (ri, r) in round.iter_mut().enumerate() {
-        for (pi, pending) in r.pendings.iter_mut().enumerate() {
-            if let Some(sub) = pending.as_mut().and_then(|p| p.take_submission()) {
-                submissions.push(sub);
-                routes.push((ri, pi));
-            }
-        }
-    }
-    let (verdicts, wait) = worker.submit(submissions);
-    if let Some(&(ri, _)) = routes.first() {
-        shards[round[ri].shard].note_batch_wait(wait);
-    }
-    let mut slots: Vec<Vec<Option<Verdict>>> = round
-        .iter()
-        .map(|r| r.pendings.iter().map(|_| None).collect())
-        .collect();
-    for (&(ri, pi), verdict) in routes.iter().zip(verdicts) {
-        slots[ri][pi] = Some(verdict);
-    }
-
-    // Commit batched pendings before serial ones (see `commit_present`); each
-    // commit is self-contained, so on failure the rest of the round still
-    // commits and the first error is reported.
-    let mut shown_lists: Vec<Vec<Option<Vec<Package>>>> = round
-        .iter()
-        .map(|r| r.pendings.iter().map(|_| None).collect())
-        .collect();
-    let mut first_error: Option<CoreError> = None;
-    for batched_pass in [true, false] {
-        for (ri, r) in round.iter_mut().enumerate() {
-            for pi in 0..r.pendings.len() {
-                let matches_pass = r.pendings[pi]
-                    .as_ref()
-                    .is_some_and(|p| p.is_batched() == batched_pass);
-                if !matches_pass {
-                    continue;
-                }
-                let pending = r.pendings[pi].take().expect("pending matched this pass");
-                let verdict = slots[ri][pi].take();
-                match shards[r.shard].commit_present(pending, verdict) {
-                    Ok(committed) => {
-                        if let Some(cost) = committed.fallback_cost {
-                            service.observe_serial(1, cost);
-                        }
-                        shown_lists[ri][pi] = Some(committed.shown);
-                    }
-                    Err(e) => {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-
-    // Feedback/convergence, in the same per-shard session order as the
-    // non-scored lockstep body.
-    for (ri, r) in round.iter().enumerate() {
-        for (pi, &state_idx) in r.active.iter().enumerate() {
-            let shown = shown_lists[ri][pi].take().expect("every commit succeeded");
-            round_step(
-                &mut shards[r.shard],
-                &mut states[r.shard][state_idx],
-                shown,
-                elicitation,
-            )?;
-        }
-    }
-    Ok(true)
-}
-
-/// The per-worker body of [`ServingLoop::run_scored`]: drives a chunk of
-/// shards in lockstep rounds, routing every round's batchable `present` work
-/// through the shared [`ScoringService`] so same-catalog sessions group into
-/// one kernel sweep *across* shard (and worker) boundaries.
-fn serve_chunk_scored(
-    shards: &mut [Shard],
-    groups: &[Vec<(SessionId, &SimulatedUser)>],
-    elicitation: ElicitationConfig,
-    service: &ScoringService,
-    outcomes: &mut Vec<SessionOutcome>,
-) -> Result<()> {
-    // The worker handle registers this thread with the service's lockstep
-    // rendezvous; dropping it (early error return included) departs, so
-    // sibling workers never deadlock waiting for a dead peer.
-    let worker = service.worker();
-    let mut states: Vec<Vec<Lockstep>> = Vec::with_capacity(shards.len());
-    for (shard, group) in shards.iter_mut().zip(groups.iter()) {
-        states.push(lockstep_states(shard, group)?);
-    }
-
-    for _ in 0..elicitation.max_rounds {
-        if !scored_round(shards, &mut states, &worker, service, elicitation)? {
-            break;
-        }
-    }
-    // Depart before finalising so sibling workers stop waiting for this
-    // chunk's round check-ins immediately.
-    drop(worker);
-
-    for (shard, shard_states) in shards.iter_mut().zip(states) {
-        finalize_lockstep(shard, shard_states, outcomes)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{RecommenderSpec, SessionConfig};
-    use crate::scoring::AdmissionMode;
     use crate::store::StoreConfig;
     use pkgrec_core::{
         AggregationContext, Catalog, EngineConfig, LinearUtility, Profile, RankingSemantics,
@@ -673,69 +235,15 @@ mod tests {
         SimulatedUser::new(LinearUtility::new(context, weights).unwrap())
     }
 
-    fn serve_with(
-        shards: usize,
-        capacity: usize,
-        threads: usize,
-        batched: bool,
-    ) -> Vec<SessionOutcome> {
-        let mut store = SessionStore::new(StoreConfig {
-            shards,
-            capacity_per_shard: capacity,
-        })
-        .unwrap();
-        // One interned catalog across the fleet so the batched path actually
-        // groups sessions into shared kernel sweeps.
-        let catalog = std::sync::Arc::new(catalog());
-        let mut sessions = Vec::new();
-        for i in 0..6u64 {
-            let mut config = session(100 + i);
-            config.catalog = std::sync::Arc::clone(&catalog);
-            let id = store.create(config).unwrap();
-            let lean = if i % 2 == 0 { -0.8 } else { 0.5 };
-            sessions.push((id, user(vec![lean, 0.6])));
-        }
-        let config = ElicitationConfig {
-            max_rounds: 5,
-            stable_rounds: 2,
-        };
-        let mut serving = ServingLoop::new(&mut store);
-        let outcomes = if batched {
-            serving.run_batched(&sessions, config, threads).unwrap()
-        } else {
-            serving.run(&sessions, config, threads).unwrap()
-        };
-        if batched && capacity >= sessions.len() {
-            // At ample capacity every engine round goes through the batched
-            // sweep rather than the serial fallback.
-            assert!(store.stats().batched_presents > 0);
-        }
-        outcomes
-    }
-
     fn serve(shards: usize, capacity: usize, threads: usize) -> Vec<SessionOutcome> {
-        serve_with(shards, capacity, threads, false)
-    }
-
-    fn serve_scored(
-        shards: usize,
-        capacity: usize,
-        threads: usize,
-        scoring: ScoringConfig,
-    ) -> (Vec<SessionOutcome>, crate::store::StoreStats) {
         let mut store = SessionStore::new(StoreConfig {
             shards,
             capacity_per_shard: capacity,
         })
         .unwrap();
-        // The same fleet as `serve_with`, so outcomes are comparable across
-        // all three drive modes.
-        let catalog = std::sync::Arc::new(catalog());
         let mut sessions = Vec::new();
         for i in 0..6u64 {
-            let mut config = session(100 + i);
-            config.catalog = std::sync::Arc::clone(&catalog);
-            let id = store.create(config).unwrap();
+            let id = store.create(session(100 + i)).unwrap();
             let lean = if i % 2 == 0 { -0.8 } else { 0.5 };
             sessions.push((id, user(vec![lean, 0.6])));
         }
@@ -743,11 +251,9 @@ mod tests {
             max_rounds: 5,
             stable_rounds: 2,
         };
-        let outcomes = ServingLoop::new(&mut store)
-            .run_scored(&sessions, config, threads, &scoring)
-            .unwrap();
-        let stats = store.stats();
-        (outcomes, stats)
+        ServingLoop::new(&mut store)
+            .run(&sessions, config, threads)
+            .unwrap()
     }
 
     #[test]
@@ -767,93 +273,6 @@ mod tests {
         let single = serve(4, 16, 1);
         let multi = serve(4, 16, 4);
         assert_eq!(single, multi);
-    }
-
-    #[test]
-    fn batched_serving_matches_serial_serving_exactly() {
-        // At ample capacity nothing ever spills, so even the accumulated
-        // search statistics must agree outcome-for-outcome.
-        let serial = serve_with(2, 16, 1, false);
-        let batched = serve_with(2, 16, 1, true);
-        assert_eq!(serial, batched);
-    }
-
-    #[test]
-    fn batched_outcomes_are_independent_of_thread_count() {
-        let single = serve_with(4, 16, 1, true);
-        let multi = serve_with(4, 16, 4, true);
-        assert_eq!(single, multi);
-    }
-
-    #[test]
-    fn batched_serving_survives_capacity_pressure() {
-        // Capacity 1 forces the batched path into its serial fallback on
-        // most rounds; session-visible outcomes must not notice.  (Search
-        // deltas are excluded: spill resets the in-memory counters at
-        // different moments under the two drive orders.)
-        let ample = serve_with(2, 16, 2, true);
-        let starved = serve_with(2, 1, 2, true);
-        for (a, s) in ample.iter().zip(starved.iter()) {
-            assert_eq!(a.id, s.id);
-            assert_eq!(a.clicks, s.clicks);
-            assert_eq!(a.converged, s.converged);
-            assert_eq!(a.precision, s.precision);
-        }
-    }
-
-    #[test]
-    fn scored_serving_matches_serial_and_batched_serving_exactly() {
-        // The cross-shard scoring service is a scheduling change only: at
-        // ample capacity even the accumulated search statistics must agree
-        // outcome-for-outcome with both other drive modes.
-        let serial = serve_with(2, 16, 1, false);
-        let batched = serve_with(2, 16, 1, true);
-        let (scored, stats) = serve_scored(2, 16, 1, ScoringConfig::default());
-        assert_eq!(serial, scored);
-        assert_eq!(batched, scored);
-        // One worker submits the whole fleet per round, so the shared
-        // catalog groups across both shards into shared sweeps.
-        assert!(stats.batched_sessions > 0);
-        assert!(stats.batched_groups > 0);
-        assert!(stats.batched_presents > 0);
-    }
-
-    #[test]
-    fn scored_outcomes_are_independent_of_thread_count() {
-        let (single, _) = serve_scored(4, 16, 1, ScoringConfig::default());
-        let (multi, _) = serve_scored(4, 16, 4, ScoringConfig::default());
-        assert_eq!(single, multi);
-    }
-
-    #[test]
-    fn declined_admission_falls_back_without_changing_outcomes() {
-        // `Never` forces every group through the serial fallback: outcomes
-        // must not move, and the fallbacks must be accounted.
-        let (adaptive, _) = serve_scored(4, 16, 4, ScoringConfig::default());
-        let never = ScoringConfig {
-            mode: AdmissionMode::Never,
-            ..ScoringConfig::default()
-        };
-        let (declined, stats) = serve_scored(4, 16, 4, never);
-        assert_eq!(adaptive, declined);
-        assert!(stats.admission_fallbacks > 0);
-        assert_eq!(stats.batched_sessions, 0);
-        assert_eq!(stats.batched_groups, 0);
-    }
-
-    #[test]
-    fn scored_serving_survives_capacity_pressure() {
-        // Capacity 1 re-spills sessions between prepare rounds, forcing the
-        // mixed batched-then-serial commit ordering inside every round;
-        // session-visible outcomes must not notice.
-        let (ample, _) = serve_scored(2, 16, 2, ScoringConfig::default());
-        let (starved, _) = serve_scored(2, 1, 2, ScoringConfig::default());
-        for (a, s) in ample.iter().zip(starved.iter()) {
-            assert_eq!(a.id, s.id);
-            assert_eq!(a.clicks, s.clicks);
-            assert_eq!(a.converged, s.converged);
-            assert_eq!(a.precision, s.precision);
-        }
     }
 
     #[test]

@@ -31,11 +31,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::{Duration, Instant};
 
 use pkgrec_core::{
-    score_stacked, Catalog, CoreError, Feedback, Package, PresentPrep, Profile, RankedPackage,
-    Recommender, RecommenderState, Result,
+    Catalog, CoreError, Feedback, Package, RankedPackage, Recommender, RecommenderState, Result,
 };
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +41,6 @@ use crate::config::{catalog_fingerprint, op_rng, shard_of, LiveSession, SessionC
 use crate::durable::{read_manifest, shard_dir, write_manifest, DurabilityConfig, ShardLog};
 use crate::fault::FaultInjector;
 use crate::journal::{Journal, SessionEvent};
-use crate::scoring::{ScoringService, Submission, Verdict, VerdictOutcome};
 use crate::segment::SEGMENT_VERSION;
 
 /// Shape of a [`SessionStore`].
@@ -118,26 +115,17 @@ pub struct StoreStats {
     /// most two per eviction (the head, plus one skip when the head is the
     /// session being rehydrated), never the shard population.
     pub eviction_probes: usize,
-    /// Group-scored `present` operations: sessions whose round went through
-    /// a shared kernel sweep instead of an individual scoring call — via
-    /// [`Shard::op_present_batch`] or the cross-shard scoring service
-    /// ([`Shard::commit_present`] with an admitted verdict).
+    /// Always 0.  This and the next four counters audited a cross-shard
+    /// present-batching stack that no longer exists; they stay only so the
+    /// `Stats` wire frame keeps its shape until the next protocol bump.
     pub batched_presents: usize,
-    /// Batched kernel sweeps executed: one per same-catalog group per
-    /// [`Shard::op_present_batch`] call, plus one per admitted scoring-
-    /// service group (accounted by the group-lead member's shard).
+    /// Always 0 (see `batched_presents`).
     pub batched_groups: usize,
-    /// Sessions presented through the cross-shard scoring service's shared
-    /// sweep (the [`Shard::prepare_presents`] → submit →
-    /// [`Shard::commit_present`] path; a subset of `batched_presents`).
+    /// Always 0 (see `batched_presents`).
     pub batched_sessions: usize,
-    /// Scoring-service submissions the admission policy declined: the
-    /// session scored locally (serial-equivalent) instead of sharing a
-    /// sweep.
+    /// Always 0 (see `batched_presents`).
     pub admission_fallbacks: usize,
-    /// Microseconds shard owners spent blocked in scoring-service
-    /// submission (batching window + rendezvous wait), attributed via
-    /// [`Shard::note_batch_wait`].
+    /// Always 0 (see `batched_presents`).
     pub batch_wait_us: usize,
     /// IO failures injected by the [`FaultPlan`](crate::FaultPlan) carried
     /// in [`DurabilityConfig`]; zero in production (the empty plan).
@@ -151,7 +139,8 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Sums another shard's counters into this one.
+    /// Sums another shard's counters into this one (the five always-zero
+    /// batching counters excepted).
     pub fn merge(&mut self, other: &StoreStats) {
         self.created += other.created;
         self.hits += other.hits;
@@ -166,11 +155,6 @@ impl StoreStats {
         self.group_commits += other.group_commits;
         self.recovery_replays += other.recovery_replays;
         self.eviction_probes += other.eviction_probes;
-        self.batched_presents += other.batched_presents;
-        self.batched_groups += other.batched_groups;
-        self.batched_sessions += other.batched_sessions;
-        self.admission_fallbacks += other.admission_fallbacks;
-        self.batch_wait_us += other.batch_wait_us;
         self.injected_faults += other.injected_faults;
         self.degraded_shards += other.degraded_shards;
         self.rolled_back_ops += other.rolled_back_ops;
@@ -192,10 +176,10 @@ pub struct CompactionStats {
 }
 
 /// The store-wide catalog intern table: content-equal catalogs resolve to
-/// one shared `Arc`, so sessions created through *any* shard — including
-/// ones whose configs were deserialised off the wire, each with its own
-/// fresh allocation — group together under the `Arc`-pointer grouping of
-/// [`Shard::op_present_batch`] and the cross-shard scoring service.
+/// one shared `Arc`, so the session configs of a fleet created through
+/// *any* shard — including configs deserialised off the wire, each with its
+/// own fresh allocation, and `Created` records adopted at recovery — hold
+/// one copy of their catalog instead of one per session.
 ///
 /// Keyed by [`catalog_fingerprint`] with full content verification on hit
 /// (a colliding fingerprint forms its own entry).  Holds [`Weak`] handles,
@@ -238,86 +222,6 @@ struct SessionEntry {
     last_shown: Vec<Package>,
     /// LRU stamp from the owning shard's clock.
     last_used: u64,
-}
-
-/// One session's in-flight `present`, between [`Shard::prepare_presents`]
-/// and [`Shard::commit_present`].  Holds the op RNG mid-stream (the serial
-/// order within one present is resample → discovery → random tail) plus
-/// the prepared artefacts and group key for submission to the
-/// [`ScoringService`].
-#[derive(Debug)]
-pub struct PendingPresent {
-    id: SessionId,
-    kind: PendingKind,
-}
-
-#[derive(Debug)]
-enum PendingKind {
-    /// A live engine session the scoring service can cover.
-    Batched {
-        rng: rand::rngs::StdRng,
-        catalog: Arc<Catalog>,
-        profile: Profile,
-        max_package_size: usize,
-        /// `Some` until [`PendingPresent::take_submission`] moves it to
-        /// the service; the matching [`Verdict`] carries it back.
-        prep: Option<PresentPrep>,
-    },
-    /// A session the service cannot cover (baseline adapter, duplicate id,
-    /// re-spilled engine): commit runs the whole serial op.
-    Serial,
-    /// Prepare failed; the session already rolled back and the error
-    /// surfaces at commit (taken by value there).
-    Failed(Option<CoreError>),
-}
-
-impl PendingPresent {
-    /// The session this pending present belongs to.
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-
-    /// Whether this pending is a prepared engine round (submittable, and
-    /// required to commit before the batch's serial pendings).
-    pub fn is_batched(&self) -> bool {
-        matches!(self.kind, PendingKind::Batched { .. })
-    }
-
-    /// Moves the prepared round out as a scoring-service [`Submission`]
-    /// (`None` for serial/failed pendings, or if already taken).  The
-    /// service's [`Verdict`] returns the prep at commit.
-    pub fn take_submission(&mut self) -> Option<Submission> {
-        if let PendingKind::Batched {
-            catalog,
-            profile,
-            max_package_size,
-            prep,
-            ..
-        } = &mut self.kind
-        {
-            prep.take().map(|prep| Submission {
-                catalog: Arc::clone(catalog),
-                profile: profile.clone(),
-                max_package_size: *max_package_size,
-                prep,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// What [`Shard::commit_present`] produced for one session.
-#[derive(Debug)]
-pub struct CommittedPresent {
-    /// The presented list — bit-identical to what [`Shard::op_present`]
-    /// would have returned.
-    pub shown: Vec<Package>,
-    /// Wall-clock cost of scoring this session locally, when the admission
-    /// policy declined it (or it was never submitted).  Callers feed it to
-    /// [`ScoringService::observe_serial`] so the policy's serial EWMA
-    /// stays current; `None` for shared-sweep and fully serial commits.
-    pub fallback_cost: Option<Duration>,
 }
 
 /// One shard: a self-contained map of sessions plus their journal.
@@ -448,10 +352,7 @@ impl Shard {
     /// must not be re-written through the durable log.
     fn adopt_record(&mut self, id: SessionId, mut event: SessionEvent) {
         // Adopted `Created` records carry their own catalog allocations
-        // (per-record on recovery); interning here lets rehydrated
-        // sessions keep grouping by pointer.  Rehydration replays build
-        // their engines from this journal record, so the interned handle
-        // is the one live sessions end up holding.
+        // (per-record on recovery); interning here shares one per content.
         if let SessionEvent::Created { config } = &mut event {
             config.catalog = self.interner.intern(config.catalog.clone());
         }
@@ -655,8 +556,7 @@ impl Shard {
         }
         // Resolve the catalog to the store's canonical handle first, so
         // content-equal catalogs — notably configs deserialised off the
-        // wire, which arrive one fresh allocation each — share one `Arc`
-        // and their sessions group under pointer-keyed batching.
+        // wire, which arrive one fresh allocation each — share one `Arc`.
         config.catalog = self.interner.intern(config.catalog);
         let live = config.build()?;
         self.insert(id, config, live)
@@ -764,380 +664,6 @@ impl Shard {
         entry.last_shown = shown.clone();
         self.touch(id);
         Ok(shown)
-    }
-
-    /// One `present` operation for *each* of `ids`, scoring every group of
-    /// same-catalog engine sessions through one shared batched kernel sweep
-    /// ([`pkgrec_core::RecommenderEngine::present_batch`]) instead of one per
-    /// session.
-    ///
-    /// The returned lists are positionally aligned with `ids` and
-    /// bit-identical to calling [`Shard::op_present`] on each id in order:
-    /// every session draws from its own `(seed, ops)` RNG stream, so neither
-    /// grouping nor scheduling can change any session's outcome, and each
-    /// session's journal gains the same `Presented` event.  Sessions the
-    /// batch cannot cover — baseline adapters, or sessions capacity pressure
-    /// spilled again while the rest of the batch rehydrated — fall back to
-    /// the serial operation.
-    ///
-    /// Engine sessions group by their shared catalog handle
-    /// ([`std::sync::Arc::as_ptr`] — the store hands sessions of one
-    /// storefront one interned `Arc`) plus profile and φ equality; content-
-    /// equal catalogs behind distinct allocations simply form smaller
-    /// groups, which is slower but identical.
-    ///
-    /// On any mid-batch failure every batch member rolls back to its
-    /// journaled state (the same rollback path a failed feedback uses) — a
-    /// batched computation may
-    /// have advanced live state (e.g. an empty-pool resample) for sessions
-    /// whose `Presented` event was never journaled, and dropping the live
-    /// forms makes the journal authoritative again.  The next touch
-    /// rehydrates the pre-batch state.
-    pub fn op_present_batch(&mut self, ids: &[SessionId]) -> Result<Vec<Vec<Package>>> {
-        self.check_writable()?;
-        // Rehydrate every member first; under capacity pressure a later
-        // rehydration can re-spill an earlier member, which the collection
-        // pass below routes to the serial fallback.
-        for &id in ids {
-            self.ensure_live(id)?;
-        }
-        let mut pos_of: HashMap<SessionId, usize> = HashMap::with_capacity(ids.len());
-        for (pos, &id) in ids.iter().enumerate() {
-            // A duplicated id would alias `&mut` engine state inside one
-            // batch; serve it twice through the serial path instead.
-            pos_of.entry(id).or_insert(pos);
-        }
-        let mut results: Vec<Option<Vec<Package>>> = vec![None; ids.len()];
-        let mut batched_groups = 0usize;
-
-        // Compute phase: borrow all batchable engines at once (disjoint map
-        // entries via `iter_mut`), group them, and run one batched present
-        // per group.  The scope ends before any journaling so the entry map
-        // is free again.
-        let compute: Result<()> = {
-            struct BatchEntry<'a> {
-                pos: usize,
-                group: usize,
-                config: &'a SessionConfig,
-                rng: rand::rngs::StdRng,
-                engine: &'a mut pkgrec_core::RecommenderEngine,
-            }
-            let mut batchable: Vec<BatchEntry<'_>> = Vec::new();
-            for (id, entry) in self.sessions.iter_mut() {
-                let Some(&pos) = pos_of.get(id) else { continue };
-                let SessionEntry {
-                    config, live, ops, ..
-                } = entry;
-                if let Some(LiveSession::Engine(engine)) = live {
-                    batchable.push(BatchEntry {
-                        pos,
-                        group: 0,
-                        config,
-                        rng: op_rng(config.seed, *ops),
-                        engine: engine.as_mut(),
-                    });
-                }
-            }
-            // Deterministic grouping: first-appearance order over `ids`.
-            batchable.sort_unstable_by_key(|e| e.pos);
-            let mut group_keys: Vec<usize> = Vec::new(); // index of each group's first entry
-            for i in 0..batchable.len() {
-                let group = group_keys
-                    .iter()
-                    .position(|&first| {
-                        let a = batchable[first].config;
-                        let b = batchable[i].config;
-                        std::sync::Arc::as_ptr(&a.catalog) == std::sync::Arc::as_ptr(&b.catalog)
-                            && a.profile == b.profile
-                            && a.max_package_size == b.max_package_size
-                    })
-                    .unwrap_or_else(|| {
-                        group_keys.push(i);
-                        group_keys.len() - 1
-                    });
-                batchable[i].group = group;
-            }
-            batchable.sort_by_key(|e| (e.group, e.pos));
-
-            let mut outcome = Ok(());
-            let mut rest: &mut [BatchEntry<'_>] = &mut batchable[..];
-            while !rest.is_empty() {
-                let group = rest[0].group;
-                let end = rest
-                    .iter()
-                    .position(|e| e.group != group)
-                    .unwrap_or(rest.len());
-                let (chunk, tail) = rest.split_at_mut(end);
-                let mut refs: Vec<(&mut pkgrec_core::RecommenderEngine, &mut dyn rand::RngCore)> =
-                    chunk
-                        .iter_mut()
-                        .map(|e| (&mut *e.engine, &mut e.rng as &mut dyn rand::RngCore))
-                        .collect();
-                match pkgrec_core::RecommenderEngine::present_batch(&mut refs) {
-                    Ok(shown_lists) => {
-                        batched_groups += 1;
-                        for (e, shown) in chunk.iter().zip(shown_lists) {
-                            results[e.pos] = Some(shown);
-                        }
-                    }
-                    Err(e) => {
-                        outcome = Err(e);
-                        break;
-                    }
-                }
-                rest = tail;
-            }
-            outcome
-        };
-        if let Err(e) = compute {
-            for &id in ids {
-                self.rollback(id);
-            }
-            return Err(e);
-        }
-
-        // Journal phase: commit each batched present exactly as the serial
-        // operation would.  A failing append rolls back every member whose
-        // computation has not been journaled yet (their live state ran ahead
-        // of the journal); already-committed members stay consistent.
-        for (pos, &id) in ids.iter().enumerate() {
-            let Some(shown) = &results[pos] else { continue };
-            if let Err(e) = self.append_event(id, SessionEvent::Presented) {
-                for (later, &other) in ids.iter().enumerate().skip(pos) {
-                    if results[later].is_some() {
-                        self.rollback(other);
-                    }
-                }
-                return Err(e);
-            }
-            let entry = self.sessions.get_mut(&id).expect("live ensured");
-            entry.ops += 1;
-            entry.last_shown = shown.clone();
-            self.touch(id);
-            self.stats.batched_presents += 1;
-        }
-        self.stats.batched_groups += batched_groups;
-
-        // Serial fallback for everything the batch could not cover.
-        for (pos, &id) in ids.iter().enumerate() {
-            if results[pos].is_none() {
-                results[pos] = Some(self.op_present(id)?);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every id resolved"))
-            .collect())
-    }
-
-    /// The submission half of a scoring-service `present`: rehydrates each
-    /// id, runs the mutating prepare (empty-pool resample + candidate
-    /// discovery) on every live engine session, and returns one
-    /// [`PendingPresent`] per id, positionally aligned.
-    ///
-    /// Sessions the service cannot cover — baseline adapters, duplicate
-    /// ids (which would alias engine state within one round), or sessions
-    /// capacity pressure re-spilled while later members rehydrated — come
-    /// back as serial pendings and run through [`Shard::op_present`] at
-    /// commit.  A session whose prepare *fails* rolls back immediately and
-    /// comes back as a failed pending whose error surfaces at commit.
-    ///
-    /// The contract between this call and the matching
-    /// [`Shard::commit_present`]s: no other operation may touch this shard
-    /// in between (prepared live state runs ahead of the journal until the
-    /// commit lands), and batched pendings must commit before serial ones
-    /// (a serial fallback's rehydration could otherwise evict a prepared
-    /// engine).  [`SessionStore::present_many`], the serving loop, and the
-    /// server request workers all follow this discipline; a batch that has
-    /// to be abandoned wholesale goes through [`Shard::abort_presents`].
-    pub fn prepare_presents(&mut self, ids: &[SessionId]) -> Result<Vec<PendingPresent>> {
-        self.check_writable()?;
-        for &id in ids {
-            self.ensure_live(id)?;
-        }
-        let mut first_pos: HashMap<SessionId, usize> = HashMap::with_capacity(ids.len());
-        let mut pendings = Vec::with_capacity(ids.len());
-        for (pos, &id) in ids.iter().enumerate() {
-            if *first_pos.entry(id).or_insert(pos) != pos {
-                pendings.push(PendingPresent {
-                    id,
-                    kind: PendingKind::Serial,
-                });
-                continue;
-            }
-            let entry = self.sessions.get_mut(&id).expect("ensured above");
-            let SessionEntry {
-                config, live, ops, ..
-            } = entry;
-            let prepared = match live {
-                Some(LiveSession::Engine(engine)) => {
-                    let mut rng = op_rng(config.seed, *ops);
-                    engine.prepare_present(&mut rng).map(|prep| {
-                        Some(PendingKind::Batched {
-                            rng,
-                            catalog: config.catalog.clone(),
-                            profile: config.profile.clone(),
-                            max_package_size: config.max_package_size,
-                            prep: Some(prep),
-                        })
-                    })
-                }
-                _ => Ok(None),
-            };
-            match prepared {
-                Ok(Some(kind)) => pendings.push(PendingPresent { id, kind }),
-                Ok(None) => pendings.push(PendingPresent {
-                    id,
-                    kind: PendingKind::Serial,
-                }),
-                Err(e) => {
-                    self.rollback(id);
-                    pendings.push(PendingPresent {
-                        id,
-                        kind: PendingKind::Failed(Some(e)),
-                    });
-                }
-            }
-        }
-        Ok(pendings)
-    }
-
-    /// The commit half of a scoring-service `present`: finishes the round
-    /// from the service's [`Verdict`] (shared-sweep readback for admitted
-    /// groups, local singleton scoring for declined ones — both
-    /// bit-identical to [`Shard::op_present`]), journals the `Presented`
-    /// event exactly as the serial operation would, and books the
-    /// counters.  Serial pendings run the whole serial operation here;
-    /// failed pendings surface their prepare error.
-    ///
-    /// Every failure path rolls this session back to its journaled state
-    /// before returning, so a caller may keep committing the batch's other
-    /// members after an error — each commit is self-contained.
-    pub fn commit_present(
-        &mut self,
-        pending: PendingPresent,
-        verdict: Option<Verdict>,
-    ) -> Result<CommittedPresent> {
-        let id = pending.id;
-        let (mut rng, kept_prep) = match pending.kind {
-            PendingKind::Failed(error) => {
-                return Err(error.unwrap_or(CoreError::UnknownSession(id.0)))
-            }
-            PendingKind::Serial => {
-                return self.op_present(id).map(|shown| CommittedPresent {
-                    shown,
-                    fallback_cost: None,
-                });
-            }
-            PendingKind::Batched { rng, prep, .. } => (rng, prep),
-        };
-        // The prepared live state ran ahead of the journal; any refusal
-        // from here on rolls the session back to its journaled form.
-        if let Err(e) = self.check_writable() {
-            self.rollback(id);
-            return Err(e);
-        }
-        let engine_live = matches!(
-            self.sessions.get(&id).and_then(|entry| entry.live.as_ref()),
-            Some(LiveSession::Engine(_))
-        );
-        if !engine_live {
-            self.rollback(id);
-            return Err(CoreError::InvalidConfig(format!(
-                "session {id} lost its prepared live state between \
-                 prepare_presents and commit_present"
-            )));
-        }
-        let entry = self.sessions.get(&id).expect("checked above");
-        let Some(LiveSession::Engine(engine)) = entry.live.as_ref() else {
-            unreachable!("liveness checked above")
-        };
-        // Which scoring path, and what it computed.  All three arms are
-        // bit-identical: a singleton stack computes exactly the serial
-        // result, and shared-sweep cells are independent dot products.
-        let was_submitted = kept_prep.is_none();
-        let (shown, fallback_cost, admitted_lead, admitted) = match verdict {
-            Some(Verdict {
-                prep,
-                outcome:
-                    VerdictOutcome::Batched {
-                        scores,
-                        member,
-                        group_lead,
-                    },
-            }) => (
-                engine.present_from_scores(&prep, member, &scores, &mut rng),
-                None,
-                group_lead,
-                true,
-            ),
-            Some(Verdict {
-                prep,
-                outcome: VerdictOutcome::Fallback,
-            }) => {
-                let started = Instant::now();
-                let stacked = score_stacked(&[&prep]);
-                let shown = engine.present_from_scores(&prep, 0, &stacked, &mut rng);
-                (shown, Some(started.elapsed()), false, false)
-            }
-            None => {
-                // Never submitted: the caller kept the prep local (e.g. a
-                // round with nothing worth batching).  Score the singleton
-                // stack here; it is the serial computation.
-                let Some(prep) = kept_prep else {
-                    self.rollback(id);
-                    return Err(CoreError::InvalidConfig(format!(
-                        "session {id} was submitted to the scoring service \
-                         but committed without its verdict"
-                    )));
-                };
-                let started = Instant::now();
-                let stacked = score_stacked(&[&prep]);
-                let shown = engine.present_from_scores(&prep, 0, &stacked, &mut rng);
-                (shown, Some(started.elapsed()), false, false)
-            }
-        };
-        let was_submitted_fallback = fallback_cost.is_some() && was_submitted;
-        if let Err(e) = self.append_event(id, SessionEvent::Presented) {
-            self.rollback(id);
-            return Err(e);
-        }
-        let entry = self.sessions.get_mut(&id).expect("live ensured");
-        entry.ops += 1;
-        entry.last_shown = shown.clone();
-        self.touch(id);
-        if admitted {
-            self.stats.batched_presents += 1;
-            self.stats.batched_sessions += 1;
-            if admitted_lead {
-                self.stats.batched_groups += 1;
-            }
-        } else if was_submitted_fallback {
-            self.stats.admission_fallbacks += 1;
-        }
-        Ok(CommittedPresent {
-            shown,
-            fallback_cost,
-        })
-    }
-
-    /// Abandons a prepared batch wholesale: rolls every batched pending's
-    /// session back to its journaled state (their live forms ran ahead of
-    /// the journal during [`Shard::prepare_presents`]).  Serial and failed
-    /// pendings need no undo — serial ones never ran, failed ones already
-    /// rolled back.
-    pub fn abort_presents(&mut self, pendings: Vec<PendingPresent>) {
-        for pending in pendings {
-            if matches!(pending.kind, PendingKind::Batched { .. }) {
-                self.rollback(pending.id);
-            }
-        }
-    }
-
-    /// Books wall-clock time this shard's owner spent blocked in scoring-
-    /// service submission (the batching window / rendezvous wait).
-    pub fn note_batch_wait(&mut self, wait: Duration) {
-        self.stats.batch_wait_us += wait.as_micros() as usize;
     }
 
     /// One `record_feedback` operation against the last presented list.
@@ -1565,116 +1091,6 @@ impl SessionStore {
     /// Builds one presentation round for the session.
     pub fn present(&mut self, id: SessionId) -> Result<Vec<Package>> {
         self.shard_mut(id).op_present(id)
-    }
-
-    /// One `present` for *each* of `ids`, batched **across shards** through
-    /// the scoring service: every shard prepares its members
-    /// ([`Shard::prepare_presents`]), the whole fleet's preps go up in one
-    /// flushed submission, and each shard commits its verdicts
-    /// ([`Shard::commit_present`]).  The returned lists are positionally
-    /// aligned with `ids` and bit-identical to calling
-    /// [`SessionStore::present`] on each id in order — grouping, admission
-    /// decisions and scheduling can change *when* work is scored, never
-    /// *what* it computes.
-    ///
-    /// This is the single-threaded driver ([`ScoringService::submit_now`]);
-    /// the `ServingLoop` and `pkgrec-server` submit from their own worker
-    /// threads instead.  If any session's prepare fails the whole round is
-    /// abandoned ([`Shard::abort_presents`]) and the error returned; a
-    /// failure while committing finishes the remaining members first (each
-    /// commit is self-contained) and returns the first error.
-    pub fn present_many(
-        &mut self,
-        ids: &[SessionId],
-        service: &ScoringService,
-    ) -> Result<Vec<Vec<Package>>> {
-        let shard_count = self.shards.len();
-        let mut buckets: Vec<Vec<(usize, SessionId)>> = vec![Vec::new(); shard_count];
-        for (pos, &id) in ids.iter().enumerate() {
-            buckets[shard_of(id, shard_count)].push((pos, id));
-        }
-        // Prepare phase, shard by shard; a whole-shard refusal (degraded,
-        // unknown id) abandons every shard's prepared work.
-        let mut pendings: Vec<Vec<PendingPresent>> = Vec::with_capacity(shard_count);
-        for (index, bucket) in buckets.iter().enumerate() {
-            let shard_ids: Vec<SessionId> = bucket.iter().map(|&(_, id)| id).collect();
-            match self.shards[index].prepare_presents(&shard_ids) {
-                Ok(prepared) => pendings.push(prepared),
-                Err(e) => {
-                    for (earlier, prepared) in pendings.into_iter().enumerate() {
-                        self.shards[earlier].abort_presents(prepared);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        // One submission for the whole fleet, flushed immediately.
-        let mut submissions = Vec::new();
-        let mut routes: Vec<(usize, usize)> = Vec::new();
-        for (index, prepared) in pendings.iter_mut().enumerate() {
-            for (at, pending) in prepared.iter_mut().enumerate() {
-                if let Some(submission) = pending.take_submission() {
-                    submissions.push(submission);
-                    routes.push((index, at));
-                }
-            }
-        }
-        let (verdicts, wait) = service.submit_now(submissions);
-        if let Some(&(index, _)) = routes.first() {
-            self.shards[index].note_batch_wait(wait);
-        }
-        let mut slots: Vec<Vec<Option<Verdict>>> = pendings
-            .iter()
-            .map(|prepared| prepared.iter().map(|_| None).collect())
-            .collect();
-        for ((index, at), verdict) in routes.into_iter().zip(verdicts) {
-            slots[index][at] = Some(verdict);
-        }
-        // Commit phase: batched members first (a serial fallback's
-        // rehydration could evict a prepared engine), then serial ones, in
-        // ids order within each class.  Each commit is self-contained, so
-        // an error finishes the batch before surfacing.
-        let mut taken: Vec<Vec<Option<PendingPresent>>> = pendings
-            .into_iter()
-            .map(|prepared| prepared.into_iter().map(Some).collect())
-            .collect();
-        let mut results: Vec<Option<Vec<Package>>> = vec![None; ids.len()];
-        let mut first_error = None;
-        for batched_pass in [true, false] {
-            for (index, bucket) in buckets.iter().enumerate() {
-                for (at, &(pos, _)) in bucket.iter().enumerate() {
-                    let committable = taken[index][at]
-                        .as_ref()
-                        .is_some_and(|pending| pending.is_batched() == batched_pass);
-                    if !committable {
-                        continue;
-                    }
-                    let pending = taken[index][at].take().expect("checked above");
-                    let verdict = slots[index][at].take();
-                    match self.shards[index].commit_present(pending, verdict) {
-                        Ok(committed) => {
-                            if let Some(cost) = committed.fallback_cost {
-                                service.observe_serial(1, cost);
-                            }
-                            results[pos] = Some(committed.shown);
-                        }
-                        Err(e) => {
-                            if first_error.is_none() {
-                                first_error = Some(e);
-                            }
-                            results[pos] = Some(Vec::new());
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        Ok(results
-            .into_iter()
-            .map(|shown| shown.expect("every id resolved"))
-            .collect())
     }
 
     /// Records typed feedback against the session's last presented list.
@@ -2331,125 +1747,51 @@ mod tests {
             .any(|event| matches!(event, SessionEvent::Created { .. })));
     }
 
-    /// Builds a single-shard store whose engine sessions share one interned
-    /// catalog `Arc` (the storefront shape the batched present groups on),
-    /// plus one baseline and one engine on a private catalog allocation.
-    fn batch_fixture(capacity: usize) -> (SessionStore, Vec<SessionId>) {
+    #[test]
+    fn content_equal_catalogs_intern_to_one_handle() {
+        // Every config below carries its own fresh catalog allocation, as
+        // configs deserialised off the wire do.
         let mut store = SessionStore::new(StoreConfig {
-            shards: 1,
-            capacity_per_shard: capacity,
+            shards: 2,
+            capacity_per_shard: 8,
         })
         .unwrap();
-        let shared = std::sync::Arc::new(catalog());
-        let mut ids = Vec::new();
-        for seed in [11u64, 12, 13] {
-            ids.push(
-                store
-                    .create(SessionConfig {
-                        catalog: shared.clone(),
-                        ..engine_session(seed)
-                    })
-                    .unwrap(),
-            );
-        }
-        ids.push(store.create(skyline_session(14)).unwrap());
-        ids.push(store.create(engine_session(15)).unwrap()); // private Arc
-        (store, ids)
-    }
-
-    #[test]
-    fn batched_present_is_bit_identical_to_serial_presents() {
-        for capacity in [16usize, 1] {
-            let (mut batched, ids) = batch_fixture(capacity);
-            let (mut serial, _) = batch_fixture(capacity);
-            for round in 0..3 {
-                let got = batched.shards_mut()[0].op_present_batch(&ids).unwrap();
-                let expected: Vec<Vec<Package>> = ids
-                    .iter()
-                    .map(|&id| serial.shards_mut()[0].op_present(id).unwrap())
-                    .collect();
-                assert_eq!(got, expected, "capacity {capacity} round {round}");
-                for (&id, shown) in ids.iter().zip(expected.iter()) {
-                    let index = choose(&batched.session_config(id).unwrap().catalog.clone(), shown);
-                    let a = batched.feedback(id, Feedback::Click { index }).unwrap();
-                    let b = serial.feedback(id, Feedback::Click { index }).unwrap();
-                    assert_eq!(a, b);
-                }
-            }
-            // Both stores now recommend identically, and their journals
-            // record the same operation sequences (spill checkpoints may
-            // differ — capacity pressure hits the two drive orders at
-            // different moments, which is invisible to session state).
-            for &id in &ids {
-                assert_eq!(
-                    batched.recommend(id).unwrap(),
-                    serial.recommend(id).unwrap()
-                );
-                let ops = |store: &SessionStore| {
-                    store
-                        .export_journal()
-                        .events_for(id)
-                        .iter()
-                        .filter(|e| {
-                            matches!(
-                                e,
-                                SessionEvent::Presented
-                                    | SessionEvent::Feedback(_)
-                                    | SessionEvent::Recommended
-                            )
-                        })
-                        .count()
-                };
-                assert_eq!(ops(&batched), ops(&serial));
-            }
-        }
-    }
-
-    #[test]
-    fn batched_present_groups_shared_catalogs_and_falls_back_otherwise() {
-        let (mut store, ids) = batch_fixture(16);
-        // The store-wide intern table resolves the fourth engine's private
-        // (content-equal) allocation to the canonical shared handle at
-        // create time, so all four engines group by `Arc` pointer...
-        let canonical = store.session_config(ids[0]).unwrap().catalog.clone();
-        let adopted = store.session_config(ids[4]).unwrap().catalog.clone();
-        assert!(
-            std::sync::Arc::ptr_eq(&canonical, &adopted),
-            "content-equal catalogs intern to one handle"
-        );
-        store.shards_mut()[0].op_present_batch(&ids).unwrap();
-        let stats = store.stats();
-        // ...and batch as one group; the baseline falls back.
-        assert_eq!(stats.batched_presents, 4);
-        assert_eq!(stats.batched_groups, 1);
-
-        // Under capacity 1 every rehydration spills the previous member, so
-        // the whole batch degrades to the serial path — and still works.
-        let (mut starved, ids) = batch_fixture(1);
-        starved.shards_mut()[0].op_present_batch(&ids).unwrap();
-        let stats = starved.stats();
-        assert_eq!(stats.batched_presents, 1, "only the last member stays live");
-        assert!(stats.restores > 0 || stats.evictions > 0);
-    }
-
-    #[test]
-    fn batched_present_rejects_unknown_sessions_without_side_effects() {
-        let (mut store, mut ids) = batch_fixture(16);
-        ids.push(SessionId(99));
-        assert!(matches!(
-            store.shards_mut()[0].op_present_batch(&ids),
-            Err(CoreError::UnknownSession(99))
-        ));
-        // Nothing was journaled: a fresh batch over the valid ids equals a
-        // fresh serial store's first round.
-        ids.pop();
-        let (mut serial, _) = batch_fixture(16);
-        let got = store.shards_mut()[0].op_present_batch(&ids).unwrap();
-        let expected: Vec<Vec<Package>> = ids
-            .iter()
-            .map(|&id| serial.shards_mut()[0].op_present(id).unwrap())
+        let ids: Vec<SessionId> = (0..4)
+            .map(|seed| store.create(engine_session(seed)).unwrap())
             .collect();
-        assert_eq!(got, expected);
+        assert!(ids.iter().any(|&id| shard_of(id, 2) == 0));
+        assert!(ids.iter().any(|&id| shard_of(id, 2) == 1));
+        let mut other_rows = catalog().rows().to_vec();
+        other_rows[0][0] += 0.01;
+        let other = store
+            .create(SessionConfig {
+                catalog: Arc::new(Catalog::from_rows(other_rows).unwrap()),
+                ..engine_session(9)
+            })
+            .unwrap();
+        let handle = |store: &SessionStore, id| store.session_config(id).unwrap().catalog.clone();
+        let canonical = handle(&store, ids[0]);
+        for &id in &ids[1..] {
+            assert!(Arc::ptr_eq(&canonical, &handle(&store, id)), "{id}");
+        }
+        assert!(!Arc::ptr_eq(&canonical, &handle(&store, other)));
+
+        // Adopted `Created` records intern too: a journal read back from
+        // JSON carries one catalog allocation per record.
+        let json = serde_json::to_string(&store.export_journal()).unwrap();
+        let journal: Journal = serde_json::from_str(&json).unwrap();
+        let adopted = SessionStore::from_journal(
+            StoreConfig {
+                shards: 3,
+                capacity_per_shard: 8,
+            },
+            &journal,
+        )
+        .unwrap();
+        let canonical = handle(&adopted, ids[0]);
+        for &id in &ids[1..] {
+            assert!(Arc::ptr_eq(&canonical, &handle(&adopted, id)), "{id}");
+        }
     }
 
     #[test]

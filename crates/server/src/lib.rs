@@ -19,17 +19,8 @@
 //!   discipline, so connections never contend on a lock).  Each request
 //!   runs under a deadline; malformed frames are rejected without
 //!   disturbing other connections; shutdown drains and `sync()`s the
-//!   durable log.  With [`ServerConfig::batch_window`] set, the workers
-//!   stop scoring presents inline: each drains the consecutive Present
-//!   jobs at the head of its queue (per-connection FIFO survives —
-//!   the drain stops at the first other verb), prepares them, and
-//!   submits to a shared cross-shard
-//!   [`ScoringService`](pkgrec_serve::ScoringService) whose
-//!   window-bounded flush stacks same-catalog presents from *all*
-//!   shards into one kernel sweep, subject to the adaptive admission
-//!   policy — declined or unbatchable work falls back to serial
-//!   scoring with byte-identical wire results, and the store's
-//!   [`StoreStats`](pkgrec_serve::StoreStats) audits every decision.
+//!   durable log.  A worker serves its queue one request at a time, in
+//!   arrival order.
 //! * [`loadgen`] — a closed-loop load generator whose clients replay every
 //!   wire operation against private in-process shadow stores: because
 //!   session RNG streams derive from `(seed, op index)` alone, wire

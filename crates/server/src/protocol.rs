@@ -36,7 +36,8 @@ pub const HELLO_MAGIC: [u8; 7] = *b"PKGSRV\0";
 
 /// Wire protocol version, bumped on any framing or payload schema change.
 /// v4 grew [`StoreStats`] with the cross-shard batching counters
-/// (`batched_sessions`, `admission_fallbacks`, `batch_wait_us`).
+/// (`batched_sessions`, `admission_fallbacks`, `batch_wait_us`); the
+/// batching stack is gone and they read 0 until the next bump drops them.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hello length: magic + u32 LE version.

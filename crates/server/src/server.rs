@@ -23,10 +23,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use pkgrec_core::{Feedback, Result};
-use pkgrec_serve::{
-    shard_of, PendingPresent, ScoringConfig, ScoringService, SessionConfig, SessionId,
-    SessionStore, Shard, StoreStats, Verdict,
-};
+use pkgrec_serve::{shard_of, SessionConfig, SessionId, SessionStore, Shard, StoreStats};
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::{
@@ -47,17 +44,6 @@ pub struct ServerConfig {
     /// Read-timeout granularity: how often blocked readers poll for
     /// shutdown.  Smaller shuts down faster; larger spins less.
     pub poll_interval: Duration,
-    /// Cross-shard `Present` batching: when non-zero, each shard worker
-    /// opportunistically drains consecutive `Present` jobs off its queue
-    /// and submits the prepared work to a fleet-wide
-    /// [`ScoringService`] whose open-mode
-    /// flush waits up to this window for other shards' work — so
-    /// same-catalog sessions on different shards share one kernel sweep
-    /// per flush, with the service's admission policy falling back to
-    /// serial scoring when a group is too small to pay.  Results are
-    /// bit-identical either way.  `Duration::ZERO` (the default) scores
-    /// every present inline on its own shard, exactly as before.
-    pub batch_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -67,7 +53,6 @@ impl Default for ServerConfig {
             request_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             poll_interval: Duration::from_millis(5),
-            batch_window: Duration::ZERO,
         }
     }
 }
@@ -199,20 +184,10 @@ impl Server {
             receivers.push(rx);
         }
 
-        // The fleet-wide scoring service (open mode: the first submitter
-        // leads a flush, waiting up to the window for other shards).
-        let scoring = (config.batch_window > Duration::ZERO).then(|| {
-            ScoringService::new(ScoringConfig {
-                window: config.batch_window,
-                ..ScoringConfig::default()
-            })
-        });
-
         std::thread::scope(|scope| {
             // One worker per shard, each owning its shard exclusively.
-            let service = scoring.as_ref();
             for (shard, rx) in store.shards_mut().iter_mut().zip(receivers) {
-                scope.spawn(move || shard_worker(shard, rx, service));
+                scope.spawn(move || shard_worker(shard, rx));
             }
 
             // The accept loop runs on the scope's own thread.
@@ -258,33 +233,8 @@ impl Server {
 /// One shard's worker: drain jobs, execute against the exclusively-owned
 /// shard, reply.  When the channel closes (all senders dropped — the
 /// graceful-shutdown signal) the worker syncs its shard's durable log.
-///
-/// With a [`ScoringService`] attached (`batch_window > 0`), a `Present`
-/// at the queue head opportunistically drains further consecutive
-/// `Present`s and runs them through [`present_batch`]; any other request
-/// kind stops the drain and is executed afterwards, so each connection's
-/// request order is preserved.
-fn shard_worker(shard: &mut Shard, jobs: Receiver<ShardJob>, service: Option<&ScoringService>) {
+fn shard_worker(shard: &mut Shard, jobs: Receiver<ShardJob>) {
     while let Ok(job) = jobs.recv() {
-        let mut job = Some(job);
-        if let Some(service) = service {
-            if matches!(
-                job.as_ref().map(|j| &j.request),
-                Some(ShardRequest::Present(_))
-            ) {
-                let mut batch = vec![job.take().expect("job is present")];
-                while let Ok(next) = jobs.try_recv() {
-                    if matches!(next.request, ShardRequest::Present(_)) {
-                        batch.push(next);
-                    } else {
-                        job = Some(next);
-                        break;
-                    }
-                }
-                present_batch(shard, batch, service);
-            }
-        }
-        let Some(job) = job else { continue };
         if Instant::now() >= job.deadline {
             // The connection has already timed out and replied; executing
             // now would waste the shard's time on an unobservable result.
@@ -297,86 +247,6 @@ fn shard_worker(shard: &mut Shard, jobs: Receiver<ShardJob>, service: Option<&Sc
         let _ = job.reply.try_send(response);
     }
     let _ = shard.sync();
-}
-
-/// Serves a drained run of `Present` jobs through the cross-shard scoring
-/// service: prepare on the owning shard, submit the batchable preps
-/// fleet-wide, commit the verdicts (batched pendings before serial ones —
-/// see [`Shard::commit_present`]) and reply per job.  Results are
-/// bit-identical to executing the jobs one at a time.
-fn present_batch(shard: &mut Shard, batch: Vec<ShardJob>, service: &ScoringService) {
-    // Stale jobs are skipped exactly as in the serial path: dropping the
-    // reply sender wakes the (already timed-out) waiter with a disconnect.
-    let now = Instant::now();
-    let jobs: Vec<ShardJob> = batch.into_iter().filter(|job| now < job.deadline).collect();
-    if jobs.is_empty() {
-        return;
-    }
-    let ids: Vec<SessionId> = jobs
-        .iter()
-        .map(|job| match job.request {
-            ShardRequest::Present(id) => id,
-            _ => unreachable!("present_batch only drains Present jobs"),
-        })
-        .collect();
-    let mut pendings = match shard.prepare_presents(&ids) {
-        Ok(pendings) => pendings,
-        Err(e) => {
-            // A whole-batch failure (e.g. a degraded shard) answers every
-            // job with the same error, as each serial execute would have.
-            let wire = WireError::from_core(&e);
-            for job in jobs {
-                let _ = job.reply.try_send(Response::Error(wire.clone()));
-            }
-            return;
-        }
-    };
-    let mut submissions = Vec::new();
-    let mut routes: Vec<usize> = Vec::new();
-    for (at, pending) in pendings.iter_mut().enumerate() {
-        if let Some(submission) = pending.take_submission() {
-            submissions.push(submission);
-            routes.push(at);
-        }
-    }
-    let mut slots: Vec<Option<Verdict>> = pendings.iter().map(|_| None).collect();
-    if !submissions.is_empty() {
-        let (verdicts, wait) = service.submit(submissions);
-        shard.note_batch_wait(wait);
-        for (at, verdict) in routes.into_iter().zip(verdicts) {
-            slots[at] = Some(verdict);
-        }
-    }
-    // Each commit is self-contained (it rolls back its own session on
-    // failure), so every job gets its own success-or-error reply.
-    let mut taken: Vec<Option<PendingPresent>> = pendings.into_iter().map(Some).collect();
-    let mut replies: Vec<Option<Response>> = jobs.iter().map(|_| None).collect();
-    for batched_pass in [true, false] {
-        for at in 0..taken.len() {
-            let matches_pass = taken[at]
-                .as_ref()
-                .is_some_and(|p| p.is_batched() == batched_pass);
-            if !matches_pass {
-                continue;
-            }
-            let pending = taken[at].take().expect("pending matched this pass");
-            let verdict = slots[at].take();
-            replies[at] = Some(match shard.commit_present(pending, verdict) {
-                Ok(committed) => {
-                    if let Some(cost) = committed.fallback_cost {
-                        service.observe_serial(1, cost);
-                    }
-                    Response::Presented {
-                        packages: committed.shown,
-                    }
-                }
-                Err(e) => Response::Error(WireError::from_core(&e)),
-            });
-        }
-    }
-    for (job, reply) in jobs.into_iter().zip(replies) {
-        let _ = job.reply.try_send(reply.expect("every job was committed"));
-    }
 }
 
 /// Executes one routed request against its shard.

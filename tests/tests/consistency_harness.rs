@@ -13,15 +13,11 @@
 //! * **Schedule fuzzer** — seeded random interleavings of
 //!   present/feedback/recommend/snapshot across shard-parallel worker
 //!   threads, with coordinator-level sync/compact/evict/restore, crash
-//!   points (drop the store, reopen from disk), reshards, and
-//!   batched-presents phases (a random subset of sessions scored
-//!   cross-shard through the [`ScoringService`], admission mode cycling
-//!   with the seed) between rounds.  Because every session's RNG stream
-//!   derives from `(seed, op index)` alone, the observed history must
-//!   equal a single-threaded replay of the same per-session operation
-//!   sequences on a fresh in-memory store — every individual result,
-//!   bit for bit.  The replay scores serially, so the batcher and its
-//!   admission policy must be invisible in results.
+//!   points (drop the store, reopen from disk) and reshards between
+//!   rounds.  Because every session's RNG stream derives from
+//!   `(seed, op index)` alone, the observed history must equal a
+//!   single-threaded replay of the same per-session operation sequences
+//!   on a fresh in-memory store — every individual result, bit for bit.
 //!
 //! The default corpus (32 seeds × {1,4} shards × {1,4} threads, small
 //! catalogs) is the reduced CI matrix; set `CONSISTENCY_SEEDS` to widen
@@ -33,9 +29,8 @@ use pkgrec_core::prelude::*;
 use pkgrec_core::{AggregationContext, LinearUtility, SimulatedUser};
 use pkgrec_integration_tests::unique_temp_dir;
 use pkgrec_serve::{
-    shard_of, user_rng, AdmissionMode, DurabilityConfig, FaultKind, FaultPlan, FaultSite,
-    RecommenderSpec, ScoringConfig, ScoringService, SessionConfig, SessionId, SessionStore, Shard,
-    StoreConfig,
+    shard_of, user_rng, DurabilityConfig, FaultKind, FaultPlan, FaultSite, RecommenderSpec,
+    SessionConfig, SessionId, SessionStore, Shard, StoreConfig,
 };
 
 // ---------------------------------------------------------------------------
@@ -486,9 +481,8 @@ fn run_on_store(
 }
 
 /// One seeded schedule: derive the topology from the seed, run 4 rounds
-/// of shard-parallel traffic with batched-presents phases and coordinator
-/// chaos between rounds, then hold the observed history against the
-/// single-threaded replay.
+/// of shard-parallel traffic with coordinator chaos between rounds, then
+/// hold the observed history against the single-threaded replay.
 fn run_schedule(seed: u64) {
     let mut rng = Mix::new(0xC0FFEE ^ seed.wrapping_mul(7919));
     let mut shards: usize = if seed.is_multiple_of(2) { 1 } else { 4 };
@@ -510,20 +504,6 @@ fn run_schedule(seed: u64) {
     let catalog = harness_catalog(seed, 8);
     let context = AggregationContext::new(Profile::cost_quality(), &catalog, 2).unwrap();
     let user = SimulatedUser::new(LinearUtility::new(context, vec![-0.7, 0.6]).unwrap());
-
-    // The coordinator's cross-shard batcher for the batched-presents
-    // phases.  The admission mode cycles with the seed so the corpus
-    // covers adaptive, forced-on and forced-off admission; the oracle is
-    // indifferent — admission may change *when* work is scored, never
-    // *what* it computes.
-    let service = ScoringService::new(ScoringConfig {
-        mode: match seed % 3 {
-            0 => AdmissionMode::Adaptive,
-            1 => AdmissionMode::Always,
-            _ => AdmissionMode::Never,
-        },
-        ..ScoringConfig::default()
-    });
 
     // Per-session records: config (for the replay store), the op-tag
     // history, the observed JSON results, whether a present happened
@@ -640,26 +620,6 @@ fn run_schedule(seed: u64) {
                 }
             }
         });
-
-        // Batched-presents coordinator phase: every other round, a random
-        // subset of sessions takes one extra present through the
-        // cross-shard scoring service.  The history records these as
-        // plain presents — the single-threaded replay scores them
-        // serially, so the batcher (stacking, grouping, admission
-        // verdicts and serial fallbacks alike) must be bit-invisible.
-        if rng.below(2) == 0 {
-            let subset: Vec<usize> = (0..configs.len()).filter(|_| rng.below(2) == 0).collect();
-            if !subset.is_empty() {
-                let batch_ids: Vec<SessionId> = subset.iter().map(|&sid| ids[sid]).collect();
-                let batch_shown = store.present_many(&batch_ids, &service).unwrap();
-                for (&sid, shown) in subset.iter().zip(batch_shown) {
-                    history[sid].push(Op::Present);
-                    observed[sid].push(json(&shown));
-                    has_shown[sid] = true;
-                    shown_lists[sid] = shown;
-                }
-            }
-        }
 
         // Coordinator chaos between rounds: maintenance, crash points and
         // reshards — none of which may perturb any session's stream.
