@@ -678,29 +678,39 @@ mod tests {
         (cand, weights)
     }
 
+    /// The per-cell unrolled arm: every cell through the fixed-width
+    /// [`lane_dot`] the blocked kernel keeps for its remainder lanes, with no
+    /// lane blocking; dimensionalities above [`MAX_UNROLLED_DIM`] take [`dot`].
+    fn score_unrolled(candidates: &CandidateMatrix, weights: &WeightMatrix) -> ScoreMatrix {
+        let cell = |cand: &[f64], w: &[f64]| -> f64 {
+            macro_rules! dispatch {
+                ($($d:literal),+) => {
+                    match cand.len() {
+                        $($d => lane_dot::<$d>(cand.try_into().expect("dispatched width"), w),)+
+                        _ => dot(cand, w),
+                    }
+                };
+            }
+            dispatch!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+        };
+        let data = (0..candidates.len())
+            .flat_map(|c| (0..weights.len()).map(move |s| cell(candidates.row(c), weights.row(s))))
+            .collect();
+        ScoreMatrix {
+            candidates: candidates.len(),
+            samples: weights.len(),
+            data,
+        }
+    }
+
     #[test]
     fn kernel_matches_the_scalar_dot_product() {
-        // Shapes straddling the SAMPLE_BLOCK boundary (remainder lanes) and
-        // MAX_UNROLLED_DIM (17 takes the generic fallback).
-        for (candidates, samples, dim) in [
-            (37, 301, 5),
-            (1, 1, 2),
-            (3, 7, 5),
-            (5, 8, 3),
-            (7, 9, 4),
-            (11, 1000, 6),
-            (13, 257, 17),
-        ] {
-            let (cand, weights) = random_matrices(candidates, samples, dim, 11);
-            let scores = score_batch(&cand, &weights);
-            for c in 0..candidates {
-                for s in 0..samples {
-                    assert_eq!(
-                        scores.get(c, s),
-                        dot(cand.row(c), weights.row(s)),
-                        "{candidates}x{samples}x{dim} cell ({c},{s})"
-                    );
-                }
+        let (cand, weights) = random_matrices(37, 301, 5, 1);
+        let scores = score_batch(&cand, &weights);
+        for c in 0..cand.len() {
+            for s in 0..weights.len() {
+                let expected = dot(cand.row(c), weights.row(s));
+                assert_eq!(scores.get(c, s), expected, "candidate {c} sample {s}");
             }
         }
     }
@@ -837,6 +847,34 @@ mod tests {
         m.push(&[1.0, 2.0, 3.0], 1.0);
         m.set_row(0, &[4.0, 5.0, 6.0], 2.0);
         assert_eq!(m.weights_flat(), &[4.0, 5.0, 6.0, 0.0]);
+    }
+
+    #[test]
+    fn blocked_kernel_is_bit_identical_to_the_unrolled_arm() {
+        // Shapes straddling the SAMPLE_BLOCK boundary (remainder lanes) and
+        // the unrolled-dim ceiling (generic fallback).
+        for (candidates, samples, dim) in [
+            (1, 1, 2),
+            (3, 7, 5),
+            (5, 8, 3),
+            (7, 9, 4),
+            (11, 1000, 6),
+            (13, 257, 17),
+        ] {
+            let (cand, weights) = random_matrices(candidates, samples, dim, 11);
+            let blocked = score_batch(&cand, &weights);
+            let unrolled = score_unrolled(&cand, &weights);
+            assert_eq!(blocked, unrolled, "{candidates}x{samples}x{dim}");
+            for c in 0..candidates {
+                for s in 0..samples {
+                    assert_eq!(
+                        blocked.get(c, s),
+                        dot(cand.row(c), weights.row(s)),
+                        "{candidates}x{samples}x{dim} cell ({c},{s})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
