@@ -16,18 +16,21 @@
 //!   criticism the introduction levels at it,
 //! * [`SkylineSession`] — presents Pareto-optimal packages of a fixed
 //!   cardinality; it also ignores feedback.
+//!
+//! Every adapter holds its catalog behind an `Arc`: sessions built from one
+//! interned catalog share its rows and its sorted-lists index.
+
+use std::sync::Arc;
 
 use pkgrec_core::ranking::{aggregate, RankedPackage, RankingSemantics};
 use pkgrec_core::recommender::{
-    extend_with_random_packages, per_sample_rankings_indexed, Feedback, Recommender,
-    RecommenderState,
+    extend_with_random_packages, DiscoveryMemo, Feedback, Recommender, RecommenderState,
 };
 use pkgrec_core::sampler::SamplePool;
 use pkgrec_core::{
     AggregatedSearchStats, AggregationContext, Catalog, CoreError, Package, Preference, Profile,
     Result,
 };
-use pkgrec_topk::SortedLists;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -74,14 +77,14 @@ impl Default for EmRefitConfig {
 /// samples.
 #[derive(Debug, Clone)]
 pub struct EmRefitSession {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     context: AggregationContext,
-    /// Catalog-cached per-feature sorted lists shared by every per-sample
-    /// package search (weight-independent, so built once per session).
-    sorted_lists: SortedLists,
     inner: EmRefitRecommender,
     config: EmRefitConfig,
     pool: SamplePool,
+    /// Per-slot `Top-k-Pkg` results, so ranking the same pool again (a
+    /// `recommend` after a `present`) searches nothing.  Derived state.
+    memo: DiscoveryMemo,
     preferences: usize,
     rounds: usize,
     search_stats: AggregatedSearchStats,
@@ -91,11 +94,12 @@ impl EmRefitSession {
     /// Creates the session over a catalog with the given profile and maximum
     /// package size φ.
     pub fn new(
-        catalog: Catalog,
+        catalog: impl Into<Arc<Catalog>>,
         profile: Profile,
         max_package_size: usize,
         config: EmRefitConfig,
     ) -> Result<Self> {
+        let catalog = catalog.into();
         if config.k == 0 {
             return Err(CoreError::InvalidConfig("k must be at least 1".into()));
         }
@@ -111,14 +115,13 @@ impl EmRefitSession {
             config.prior_sigma,
             config.samples_per_refit,
         )?;
-        let sorted_lists = SortedLists::new(catalog.rows());
         Ok(EmRefitSession {
             catalog,
             context,
-            sorted_lists,
             inner,
             config,
             pool: SamplePool::new(),
+            memo: DiscoveryMemo::new(),
             preferences: 0,
             rounds: 0,
             search_stats: AggregatedSearchStats::default(),
@@ -135,6 +138,12 @@ impl EmRefitSession {
         self.inner.stats()
     }
 
+    /// The belief samples the current round is ranked under (empty until
+    /// the first `present` or `recommend`, and again after every refit).
+    pub fn pool(&self) -> &SamplePool {
+        &self.pool
+    }
+
     fn ensure_pool(&mut self, rng: &mut dyn RngCore) {
         if self.pool.is_empty() {
             self.pool = self.inner.sample_pool(self.config.num_samples, rng);
@@ -142,10 +151,9 @@ impl EmRefitSession {
     }
 
     fn rank_pool(&mut self) -> Result<Vec<RankedPackage>> {
-        let (rankings, stats) = per_sample_rankings_indexed(
+        let (rankings, stats) = self.memo.per_sample_rankings(
             &self.context,
             &self.catalog,
-            &self.sorted_lists,
             &self.pool,
             self.config.semantics.per_sample_depth(self.config.k),
             1,
@@ -253,7 +261,7 @@ impl Recommender for EmRefitSession {
 /// introduction criticises.
 #[derive(Debug, Clone)]
 pub struct HardConstraintSession {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     context: AggregationContext,
     objective_feature: usize,
     budgets: Vec<BudgetConstraint>,
@@ -265,13 +273,14 @@ pub struct HardConstraintSession {
 impl HardConstraintSession {
     /// Creates the session: maximise `objective_feature` subject to `budgets`.
     pub fn new(
-        catalog: Catalog,
+        catalog: impl Into<Arc<Catalog>>,
         profile: Profile,
         max_package_size: usize,
         objective_feature: usize,
         budgets: Vec<BudgetConstraint>,
         k: usize,
     ) -> Result<Self> {
+        let catalog = catalog.into();
         if k == 0 {
             return Err(CoreError::InvalidConfig("k must be at least 1".into()));
         }
@@ -365,7 +374,7 @@ impl Recommender for HardConstraintSession {
 /// to pick which of the many skyline packages to present).
 #[derive(Debug, Clone)]
 pub struct SkylineSession {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     context: AggregationContext,
     cardinality: usize,
     directions: Vec<FeatureDirection>,
@@ -377,13 +386,14 @@ pub struct SkylineSession {
 impl SkylineSession {
     /// Creates the session over packages of exactly `cardinality` items.
     pub fn new(
-        catalog: Catalog,
+        catalog: impl Into<Arc<Catalog>>,
         profile: Profile,
         max_package_size: usize,
         cardinality: usize,
         directions: Vec<FeatureDirection>,
         k: usize,
     ) -> Result<Self> {
+        let catalog = catalog.into();
         if k == 0 {
             return Err(CoreError::InvalidConfig("k must be at least 1".into()));
         }
@@ -532,10 +542,11 @@ impl BaselineSpec {
     /// box is `Send` so stores can move sessions across shard threads.
     pub fn build(
         &self,
-        catalog: Catalog,
+        catalog: impl Into<Arc<Catalog>>,
         profile: Profile,
         max_package_size: usize,
     ) -> Result<Box<dyn Recommender + Send>> {
+        let catalog = catalog.into();
         Ok(match self {
             BaselineSpec::EmRefit(config) => Box::new(EmRefitSession::new(
                 catalog,

@@ -101,13 +101,13 @@ fn bench_pkgsearch(_c: &mut Criterion) {
             })
             .collect();
 
+        let lists = workload.catalog.sorted_lists();
         // Equivalence sanity check before timing anything.
         for utility in &utilities {
             let reference = top_k_packages_reference(utility, &workload.catalog, K)
                 .expect("reference search succeeds");
-            let arena =
-                top_k_packages_with_lists(utility, &workload.catalog, &workload.sorted_lists, K)
-                    .expect("arena search succeeds");
+            let arena = top_k_packages_with_lists(utility, &workload.catalog, lists, K)
+                .expect("arena search succeeds");
             assert_eq!(
                 reference.packages.len(),
                 arena.packages.len(),
@@ -126,7 +126,7 @@ fn bench_pkgsearch(_c: &mut Criterion) {
             top_k_packages_reference(utility, &workload.catalog, K).expect("search succeeds")
         });
         let arena_ns = measure(&utilities, iters, |utility| {
-            top_k_packages_with_lists(utility, &workload.catalog, &workload.sorted_lists, K)
+            top_k_packages_with_lists(utility, &workload.catalog, lists, K)
                 .expect("search succeeds")
         });
         let speedup = reference_ns as f64 / arena_ns.max(1) as f64;

@@ -108,9 +108,9 @@ fn samplers() -> Vec<(&'static str, SamplerKind)> {
 /// Generates the top-k packages for every sample in the pool and aggregates
 /// them under EXP — the "Top-k Pkg" cost component of Figure 6.  The phase
 /// runs through the engine's shared batched ranking step
-/// ([`per_sample_rankings_indexed`]) over the workload's cached sorted lists,
-/// so the figure times the same columnar kernel and catalog index the serving
-/// path uses; the aggregated search counters of every run are returned
+/// ([`per_sample_rankings_indexed`]) over the catalog's sorted lists, so the
+/// figure times the same columnar kernel and catalog index the serving path
+/// uses; the aggregated search counters of every run are returned
 /// alongside the list length.
 pub fn top_k_phase(
     workload: &Workload,
@@ -120,7 +120,7 @@ pub fn top_k_phase(
     let (results, stats) = per_sample_rankings_indexed(
         &workload.context,
         &workload.catalog,
-        &workload.sorted_lists,
+        workload.catalog.sorted_lists(),
         pool,
         k,
         1,

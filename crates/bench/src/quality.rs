@@ -125,6 +125,7 @@ pub fn run(config: &QualityConfig) -> QualityResult {
     ];
 
     let mut top_lists: HashMap<(String, String), Vec<Package>> = HashMap::new();
+    let catalog = std::sync::Arc::new(workload.catalog.clone());
     for (sampler_name, sampler) in &samplers {
         let snapshot = SessionSnapshot {
             version: SNAPSHOT_VERSION,
@@ -144,7 +145,7 @@ pub fn run(config: &QualityConfig) -> QualityResult {
             },
             profile: workload.context.profile().clone(),
             max_package_size: workload.context.max_package_size(),
-            catalog: workload.catalog.clone(),
+            catalog: catalog.clone(),
             preferences: store.clone(),
             pool: SamplePool::new(),
             rounds: 0,

@@ -389,6 +389,7 @@ impl ServingResult {
                 "appended KB",
                 "commits",
                 "searches",
+                "reused",
                 "sorted acc",
                 "early-term %",
             ],
@@ -416,6 +417,7 @@ impl ServingResult {
                 format!("{:.1}", p.store.bytes_appended as f64 / 1024.0),
                 p.store.group_commits.to_string(),
                 p.search.searches.to_string(),
+                p.search.reused.to_string(),
                 p.search.sorted_accesses.to_string(),
                 format!("{:.1}", p.search.early_termination_rate() * 100.0),
             ]);
@@ -509,7 +511,10 @@ mod tests {
         assert_eq!(hit.converged, restore.converged);
         assert_eq!(hit.mean_precision, restore.mean_precision);
         assert!(hit.search.searches > 0);
+        // Live sessions search only the pool rows a click replaced.
+        assert!(hit.search.reused > 0);
         let markdown = result.table().to_markdown();
+        assert!(markdown.contains("reused"));
         assert!(markdown.contains("store-hit"));
         assert!(markdown.contains("snapshot-restore"));
         assert!(markdown.contains("durable-log"));

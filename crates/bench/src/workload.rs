@@ -18,7 +18,6 @@ use pkgrec_core::profile::{AggregateFn, AggregationContext, Profile};
 use pkgrec_core::{Catalog, LinearUtility, Package};
 use pkgrec_data::{synthetic_nba, Dataset, SyntheticFamily};
 use pkgrec_gmm::GaussianMixture;
-use pkgrec_topk::SortedLists;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -146,10 +145,6 @@ pub struct Workload {
     pub preferences: Vec<Preference>,
     /// The Gaussian-mixture prior over weight vectors.
     pub prior: GaussianMixture,
-    /// Catalog-cached per-feature sorted lists: the weight-independent index
-    /// every `Top-k-Pkg` run over this workload shares (built once here, like
-    /// the engine caches its own copy).
-    pub sorted_lists: SortedLists,
 }
 
 /// The profile the experiments use: alternating `sum` / `avg` aggregates, the
@@ -231,7 +226,6 @@ impl Workload {
             config.prior_sigma,
         )
         .expect("valid prior configuration");
-        let sorted_lists = SortedLists::new(catalog.rows());
         Workload {
             config,
             catalog,
@@ -239,7 +233,6 @@ impl Workload {
             ground_truth,
             preferences,
             prior,
-            sorted_lists,
         }
     }
 

@@ -26,6 +26,8 @@
 //! assert_eq!(engine.context().max_package_size(), 2);
 //! ```
 
+use std::sync::Arc;
+
 use pkgrec_gmm::GaussianMixture;
 
 use crate::engine::{EngineConfig, RecommenderEngine};
@@ -65,7 +67,7 @@ pub fn validate_num_threads(num_threads: usize) -> Result<()> {
 /// accumulated configuration against the catalog and constructs the engine.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     profile: Profile,
     max_package_size: usize,
     config: EngineConfig,
@@ -73,7 +75,7 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    pub(crate) fn new(catalog: Catalog, profile: Profile) -> Self {
+    pub(crate) fn new(catalog: Arc<Catalog>, profile: Profile) -> Self {
         EngineBuilder {
             catalog,
             profile,

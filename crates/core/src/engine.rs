@@ -6,6 +6,15 @@
 //! [`crate::builder::EngineBuilder`]), drive them through the
 //! [`crate::recommender::Recommender`] trait, and persist them with
 //! [`RecommenderEngine::snapshot`] / [`RecommenderEngine::restore`].
+//!
+//! An engine holds its catalog behind an `Arc`: engines built from one
+//! interned catalog share its rows and its sorted-lists index.  Two kinds of
+//! derived state are neither snapshotted nor restored: that index (built
+//! once per catalog allocation) and the per-slot [`DiscoveryMemo`], which
+//! lets a present or recommend search only the pool slots whose weight rows
+//! changed since the last discovery.
+
+use std::sync::Arc;
 
 use pkgrec_gmm::GaussianMixture;
 use pkgrec_topk::SortedLists;
@@ -23,7 +32,7 @@ use crate::profile::{AggregationContext, Profile};
 use crate::ranking::{
     aggregate, per_sample_rankings_from_scores, PerSampleRanking, RankedPackage, RankingSemantics,
 };
-use crate::recommender::{self, Feedback};
+use crate::recommender::{self, DiscoveryMemo, Feedback};
 use crate::sampler::{SamplePool, SamplerKind};
 use crate::search::AggregatedSearchStats;
 
@@ -109,7 +118,7 @@ impl EngineConfig {
 /// The interactive package recommender.
 #[derive(Debug, Clone)]
 pub struct RecommenderEngine {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     context: AggregationContext,
     prior: GaussianMixture,
     preferences: PreferenceStore,
@@ -119,11 +128,10 @@ pub struct RecommenderEngine {
     /// OS threads the scoring stack may use (a process-local deployment knob,
     /// not session state — snapshots neither store nor restore it).
     num_threads: usize,
-    /// Per-feature sorted item lists over the catalog, built once at
-    /// construction and shared by every per-sample `Top-k-Pkg` run (the order
-    /// is weight-independent; only scan directions vary per sample).  Derived
-    /// state: snapshots do not store it, restoration rebuilds it.
-    sorted_lists: SortedLists,
+    /// Per-slot `Top-k-Pkg` results under the rows the slots last held.
+    /// Derived state: snapshots do not store it, a restored engine starts
+    /// with an empty one, `Clone` copies it.
+    memo: DiscoveryMemo,
     /// Aggregated `Top-k-Pkg` statistics across the engine's lifetime
     /// (process-local observability, not session state — snapshots neither
     /// store nor restore it).
@@ -152,15 +160,15 @@ impl RecommenderEngine {
     ///     .unwrap();
     /// assert_eq!(engine.config().k, 2);
     /// ```
-    pub fn builder(catalog: Catalog, profile: Profile) -> EngineBuilder {
-        EngineBuilder::new(catalog, profile)
+    pub fn builder(catalog: impl Into<Arc<Catalog>>, profile: Profile) -> EngineBuilder {
+        EngineBuilder::new(catalog.into(), profile)
     }
 
     /// Assembles an engine from already-validated parts (used by the builder
     /// and by snapshot restoration).
     #[allow(clippy::too_many_arguments)] // one slot per validated engine part
     pub(crate) fn assemble(
-        catalog: Catalog,
+        catalog: Arc<Catalog>,
         context: AggregationContext,
         prior: GaussianMixture,
         preferences: PreferenceStore,
@@ -169,7 +177,6 @@ impl RecommenderEngine {
         rounds: usize,
         num_threads: usize,
     ) -> Self {
-        let sorted_lists = SortedLists::new(catalog.rows());
         RecommenderEngine {
             catalog,
             context,
@@ -179,7 +186,7 @@ impl RecommenderEngine {
             config,
             rounds,
             num_threads,
-            sorted_lists,
+            memo: DiscoveryMemo::new(),
             search_stats: AggregatedSearchStats::default(),
             samples_reused: 0,
         }
@@ -187,6 +194,11 @@ impl RecommenderEngine {
 
     /// The catalog the engine recommends from.
     pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// The shared handle of the catalog (see [`RecommenderEngine::catalog`]).
+    pub(crate) fn catalog_handle(&self) -> &Arc<Catalog> {
         &self.catalog
     }
 
@@ -225,10 +237,15 @@ impl RecommenderEngine {
         self.num_threads
     }
 
-    /// The catalog's per-feature sorted item lists, built once at engine
-    /// construction and reused by every per-sample package search.
+    /// The catalog's per-feature sorted item lists, built once per catalog
+    /// allocation and reused by every per-sample package search.
     pub fn sorted_lists(&self) -> &SortedLists {
-        &self.sorted_lists
+        self.catalog.sorted_lists()
+    }
+
+    /// The per-slot discovery memo (see [`DiscoveryMemo`]).
+    pub fn discovery_memo(&self) -> &DiscoveryMemo {
+        &self.memo
     }
 
     /// Aggregated `Top-k-Pkg` statistics across every recommendation the
@@ -290,16 +307,17 @@ impl RecommenderEngine {
     }
 
     /// Computes the per-sample top-k package rankings for the current pool,
-    /// batched through the scoring kernel over the engine's cached sorted
-    /// lists and split across the configured number of threads.  The runs'
-    /// search statistics accumulate into [`RecommenderEngine::search_stats`].
+    /// batched through the scoring kernel over the catalog's sorted lists,
+    /// searching only the slots the [`DiscoveryMemo`] cannot answer, split
+    /// across the configured number of threads.  The runs' search
+    /// statistics accumulate into [`RecommenderEngine::search_stats`].
     pub fn per_sample_rankings(&mut self) -> Result<Vec<PerSampleRanking>> {
-        let (rankings, stats) = recommender::per_sample_rankings_indexed(
+        let depth = self.per_sample_k();
+        let (rankings, stats) = self.memo.per_sample_rankings(
             &self.context,
             &self.catalog,
-            &self.sorted_lists,
             &self.pool,
-            self.per_sample_k(),
+            depth,
             self.num_threads,
         )?;
         self.search_stats.merge(&stats);
@@ -344,10 +362,11 @@ impl RecommenderEngine {
     /// the first stage of [`RecommenderEngine::present`].
     ///
     /// An empty pool resamples through the caller's RNG first, candidate
-    /// discovery (`Top-k-Pkg`) runs and merges its search stats, and the
-    /// current pool rows are copied into the prep, so the prep owns
-    /// everything [`score_stacked`] reads and can be scored without the
-    /// engine.
+    /// discovery runs (`Top-k-Pkg` for the slots whose rows changed since
+    /// the last discovery, the [`DiscoveryMemo`] for the rest) and merges
+    /// its search stats, and the current pool rows are copied into the prep,
+    /// so the prep owns everything [`score_stacked`] reads and can be scored
+    /// without the engine.
     ///
     /// The RNG must not be touched between this call and the matching
     /// [`RecommenderEngine::present_from_scores`]: the stream order within
@@ -357,12 +376,13 @@ impl RecommenderEngine {
         if self.pool.is_empty() {
             self.resample(rng)?;
         }
-        let (candidates, vectors, per_sample, stats) = recommender::discover_candidates(
+        let depth = self.per_sample_k();
+        let (candidates, vectors, per_sample, stats) = self.memo.discover(
             &self.context,
             &self.catalog,
-            &self.sorted_lists,
+            self.catalog.sorted_lists(),
             &self.pool,
-            self.per_sample_k(),
+            depth,
             self.num_threads,
         )?;
         self.search_stats.merge(&stats);

@@ -4,7 +4,11 @@
 //! set of m features … without loss of generality, we assume all feature
 //! values are non-negative real numbers."
 
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+
+use pkgrec_topk::SortedLists;
+use serde::json_model::Value;
+use serde::{DeError, Deserialize, Serialize};
 
 use crate::error::{CoreError, Result};
 
@@ -15,10 +19,48 @@ pub type ItemId = usize;
 ///
 /// Items are stored densely as rows of a feature matrix; feature names are
 /// optional metadata used by examples and experiment output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A catalog also carries its per-feature [`SortedLists`] index, built on
+/// the first [`Catalog::sorted_lists`] call.  The index is derived state:
+/// equality and serialisation see only the names and rows.  Every engine
+/// and baseline session over one `Arc<Catalog>` therefore searches one
+/// index instead of sorting a copy of its own.
+#[derive(Debug, Clone)]
 pub struct Catalog {
     feature_names: Vec<String>,
     rows: Vec<Vec<f64>>,
+    sorted_lists: OnceLock<SortedLists>,
+}
+
+impl PartialEq for Catalog {
+    fn eq(&self, other: &Self) -> bool {
+        self.feature_names == other.feature_names && self.rows == other.rows
+    }
+}
+
+impl Serialize for Catalog {
+    fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("feature_names".into(), self.feature_names.to_json_value()),
+            ("rows".into(), self.rows.to_json_value()),
+        ])
+    }
+}
+
+/// Deserialisation runs [`Catalog::new`]'s checks, so a catalog read off
+/// the wire, out of a journal or from a snapshot is as valid as one built
+/// in code; a defect surfaces as the same [`CoreError`], rendered.
+impl Deserialize for Catalog {
+    fn from_json_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("an object", v))?;
+        Catalog::new(
+            Deserialize::from_json_value(serde::get_field(entries, "feature_names")?)?,
+            Deserialize::from_json_value(serde::get_field(entries, "rows")?)?,
+        )
+        .map_err(|e| DeError(format!("invalid catalog: {e}")))
+    }
 }
 
 impl Catalog {
@@ -53,6 +95,7 @@ impl Catalog {
         Ok(Catalog {
             feature_names,
             rows,
+            sorted_lists: OnceLock::new(),
         })
     }
 
@@ -99,6 +142,15 @@ impl Catalog {
     /// All rows of the catalog.
     pub fn rows(&self) -> &[Vec<f64>] {
         &self.rows
+    }
+
+    /// The per-feature sorted item lists every `Top-k-Pkg` run over this
+    /// catalog scans, built on first use and shared by every holder of the
+    /// catalog (the order is weight-independent; only scan directions vary
+    /// per weight vector).
+    pub fn sorted_lists(&self) -> &SortedLists {
+        self.sorted_lists
+            .get_or_init(|| SortedLists::new(&self.rows))
     }
 
     /// Iterator over `(id, feature vector)` pairs.
@@ -203,6 +255,60 @@ mod tests {
         let c = catalog();
         assert_eq!(c.feature_maxima(), vec![0.6, 0.4]);
         assert_eq!(c.feature_minima(), vec![0.2, 0.2]);
+    }
+
+    /// Deserialisation refuses every catalog `Catalog::new` refuses, with
+    /// `new`'s own error: a ragged row, rows narrower or wider than the
+    /// feature names, a negative feature, no items, no features.
+    #[test]
+    fn deserialisation_applies_the_constructor_checks() {
+        let names = r#""feature_names":["cost","rating"]"#;
+        let cases = [
+            (
+                format!(r#"{{{names},"rows":[[0.5,0.2],[0.1]]}}"#),
+                CoreError::DimensionMismatch {
+                    expected: 2,
+                    actual: 1,
+                },
+            ),
+            (
+                format!(r#"{{{names},"rows":[[0.5,0.2],[0.1,0.3,0.7]]}}"#),
+                CoreError::DimensionMismatch {
+                    expected: 2,
+                    actual: 3,
+                },
+            ),
+            (
+                format!(r#"{{{names},"rows":[[0.5,-0.2]]}}"#),
+                CoreError::InvalidConfig(
+                    "item feature values must be finite and non-negative".into(),
+                ),
+            ),
+            (format!(r#"{{{names},"rows":[]}}"#), CoreError::EmptyCatalog),
+            (
+                r#"{"feature_names":[],"rows":[[]]}"#.to_string(),
+                CoreError::DimensionMismatch {
+                    expected: 1,
+                    actual: 0,
+                },
+            ),
+        ];
+        for (json, expected) in cases {
+            let error = serde_json::from_str::<Catalog>(&json).unwrap_err();
+            assert_eq!(error.0, format!("invalid catalog: {expected}"), "{json}");
+        }
+    }
+
+    #[test]
+    fn serialisation_leaves_out_the_sorted_lists() {
+        let c = catalog();
+        assert_eq!(c.sorted_lists(), &SortedLists::new(c.rows()));
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(
+            json,
+            r#"{"feature_names":["cost","rating"],"rows":[[0.6,0.2],[0.4,0.4],[0.2,0.4]]}"#
+        );
+        assert_eq!(serde_json::from_str::<Catalog>(&json).unwrap(), c);
     }
 
     #[test]

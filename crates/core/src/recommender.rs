@@ -12,6 +12,13 @@
 //! `record_click(&Package, &[Package])` call that forced callers to clone a
 //! shown package), [`Feedback::Pairwise`] expresses a single comparison, and
 //! [`Feedback::Skip`] records a round without preference information.
+//!
+//! The ranking step shared by every pool-based recommender lives here too:
+//! one `Top-k-Pkg` search per pool sample discovers the candidates, and one
+//! kernel sweep scores them.  Owners of a pool that persists across rounds
+//! rank through a [`DiscoveryMemo`], derived state (like the catalog's
+//! sorted lists, and like them absent from snapshots) that remembers each
+//! slot's search so only slots whose weight rows changed are searched again.
 
 use std::collections::HashMap;
 
@@ -95,7 +102,7 @@ pub fn shown_package(shown: &[Package], index: usize) -> Result<&Package> {
 /// shared ranking step of the engine and of pool-based baseline adapters —
 /// on the calling thread.  See [`per_sample_rankings_threaded`] for the
 /// data-parallel variant behind the engine's `num_threads` knob and
-/// [`per_sample_rankings_indexed`] for the form that reuses a cached
+/// [`per_sample_rankings_indexed`] for the form that takes an explicit
 /// [`SortedLists`] index and surfaces search statistics.
 pub fn per_sample_rankings(
     context: &AggregationContext,
@@ -106,114 +113,277 @@ pub fn per_sample_rankings(
     per_sample_rankings_threaded(context, catalog, pool, depth, 1)
 }
 
-/// Runs every sample's candidate discovery (`Top-k-Pkg` over the shared
-/// sorted-lists index) and collects, per sample, the discovered packages as
-/// indices into a deduplicated candidate list whose feature vectors
-/// accumulate in one flat [`CandidateMatrix`], plus the aggregated search
-/// statistics of every run.
-#[allow(clippy::type_complexity)] // one tuple slot per discovery artefact
-pub(crate) fn discover_candidates(
-    context: &AggregationContext,
-    catalog: &Catalog,
-    lists: &SortedLists,
-    pool: &SamplePool,
-    depth: usize,
-    num_threads: usize,
-) -> Result<(
+/// The candidate discovery of one ranking step: the deduplicated candidate
+/// packages, their feature vectors (one flat [`CandidateMatrix`]), per
+/// sample the indices of its packages best first, and the search statistics.
+pub(crate) type Discovery = (
     Vec<Package>,
     CandidateMatrix,
     Vec<Vec<usize>>,
     AggregatedSearchStats,
-)> {
-    let sample_count = pool.len();
-    let threads = num_threads.max(1).min(sample_count);
-    let mut stats = AggregatedSearchStats::default();
-    // Per-sample package lists, best first, in pool order.
-    let discovered: Vec<Vec<Package>> = if threads <= 1 {
+);
+
+/// Per-slot memo of candidate discovery, kept by each owner of a sample pool
+/// ([`RecommenderEngine`] and `pkgrec-baselines`' `EmRefitSession`).
+///
+/// A slot's `Top-k-Pkg` answer is a pure function of its weight row: the
+/// catalog, profile, φ and depth are fixed for the owner's lifetime, and the
+/// scratch a search runs in carries nothing between runs.  Section 3.4's
+/// maintenance leaves every sample that still satisfies the feedback in its
+/// slot untouched, so most rows survive a click.  The memo keeps, per slot,
+/// the row its last search ran under and that search's packages, and
+/// [`DiscoveryMemo::per_sample_rankings`] searches again only the slots
+/// whose row bits changed.  The candidate union is rebuilt in slot-then-rank
+/// order, so candidates, scores, ties and rankings are bit-identical to a
+/// discovery that searches every slot.
+///
+/// The memo is derived state like the catalog's sorted lists: snapshots do
+/// not store it, a restored engine starts with an empty one, `Clone` copies
+/// it, and no option turns it off.  Its arrays are flat: rows and slot
+/// bounds are overwritten in place, packages are `u32` indices into one
+/// slate of distinct packages.
+#[derive(Debug, Clone, Default)]
+pub struct DiscoveryMemo {
+    /// Per-sample depth the memoised searches ran with.
+    depth: usize,
+    /// Weight dimensionality of the memoised rows.
+    dim: usize,
+    /// `slots × dim` weight rows each slot's last search ran under.
+    rows: Vec<f64>,
+    /// Slot `s` found `entries[ends[s - 1]..ends[s]]` (from 0 for slot 0).
+    ends: Vec<u32>,
+    /// Indices into `slate`, best first within each slot.
+    entries: Vec<u32>,
+    /// The distinct packages the slots found, in slot-then-rank order of
+    /// first appearance: the last discovery's candidate union.
+    slate: Vec<Package>,
+}
+
+impl DiscoveryMemo {
+    /// An empty memo: the next discovery searches every slot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of pool slots the memo holds results for.
+    pub fn slots(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// [`per_sample_rankings_threaded`] through the memo, over the catalog's
+    /// shared [`Catalog::sorted_lists`] index: only slots whose weight row
+    /// changed since the memo last saw them are searched, split across up
+    /// to `num_threads` threads.  The statistics count the searches run and
+    /// the slots reused.
+    pub fn per_sample_rankings(
+        &mut self,
+        context: &AggregationContext,
+        catalog: &Catalog,
+        pool: &SamplePool,
+        depth: usize,
+        num_threads: usize,
+    ) -> Result<(Vec<PerSampleRanking>, AggregatedSearchStats)> {
+        self.rank(
+            context,
+            catalog,
+            catalog.sorted_lists(),
+            pool,
+            depth,
+            num_threads,
+        )
+    }
+
+    fn rank(
+        &mut self,
+        context: &AggregationContext,
+        catalog: &Catalog,
+        lists: &SortedLists,
+        pool: &SamplePool,
+        depth: usize,
+        num_threads: usize,
+    ) -> Result<(Vec<PerSampleRanking>, AggregatedSearchStats)> {
+        if pool.is_empty() {
+            return Ok((Vec::new(), AggregatedSearchStats::default()));
+        }
+        let (candidates, vectors, per_sample, stats) =
+            self.discover(context, catalog, lists, pool, depth, num_threads)?;
+        let scores = score_batch_threaded(&vectors, pool.weight_matrix(), num_threads);
+        Ok((
+            ranking::per_sample_rankings_from_scores(
+                &candidates,
+                &scores,
+                pool.importances(),
+                &per_sample,
+            ),
+            stats,
+        ))
+    }
+
+    /// Runs `Top-k-Pkg` for every slot whose row differs (bit for bit) from
+    /// the one its memoised search ran under, updates the memo, and returns
+    /// the whole pool's [`Discovery`].
+    pub(crate) fn discover(
+        &mut self,
+        context: &AggregationContext,
+        catalog: &Catalog,
+        lists: &SortedLists,
+        pool: &SamplePool,
+        depth: usize,
+        num_threads: usize,
+    ) -> Result<Discovery> {
+        let dim = pool.dim();
+        if depth != self.depth || dim != self.dim {
+            *self = DiscoveryMemo {
+                depth,
+                dim,
+                ..DiscoveryMemo::default()
+            };
+        }
+        let cached = self.slots();
+        let slots = pool.len();
+        let misses: Vec<usize> = (0..slots)
+            .filter(|&s| {
+                s >= cached
+                    || self.rows[s * dim..(s + 1) * dim]
+                        .iter()
+                        .zip(pool.get(s).weights)
+                        .any(|(a, b)| a.to_bits() != b.to_bits())
+            })
+            .collect();
+        let (found, mut stats) =
+            search_slots(context, catalog, lists, pool, &misses, depth, num_threads)?;
+        stats.reused = slots - misses.len();
+        if !misses.is_empty() || slots != cached {
+            self.absorb(pool, &misses, found);
+        }
+        let mut vectors = CandidateMatrix::new(context.dim());
+        for package in &self.slate {
+            vectors.push_row(&context.package_vector(catalog, package)?);
+        }
+        let mut start = 0;
+        let per_sample = self
+            .ends
+            .iter()
+            .map(|&end| {
+                let list = self.entries[start..end as usize]
+                    .iter()
+                    .map(|&i| i as usize)
+                    .collect();
+                start = end as usize;
+                list
+            })
+            .collect();
+        Ok((self.slate.clone(), vectors, per_sample, stats))
+    }
+
+    /// Rebuilds the memo over the current pool: missed slots take their
+    /// fresh lists (`found`, in `misses` order), the others keep theirs, and
+    /// the slate is re-collected in slot-then-rank order of first appearance.
+    fn absorb(&mut self, pool: &SamplePool, misses: &[usize], found: Vec<Vec<Package>>) {
+        let dim = self.dim;
+        let cached = self.slots();
+        let slots = pool.len();
+        self.rows.resize(slots * dim, 0.0);
+        let mut entries = Vec::with_capacity(self.entries.len());
+        let mut slate: Vec<Package> = Vec::with_capacity(self.slate.len());
+        let mut index_of: HashMap<Package, u32> = HashMap::with_capacity(self.slate.len());
+        let mut intern = |package: &Package, slate: &mut Vec<Package>| {
+            *index_of.entry(package.clone()).or_insert_with(|| {
+                slate.push(package.clone());
+                (slate.len() - 1) as u32
+            })
+        };
+        // Old slate index → new slate index, so each kept package is
+        // looked up once however many slots share it.
+        let mut remap = vec![u32::MAX; self.slate.len()];
+        let mut fresh = misses.iter().zip(found).peekable();
+        let mut old_start = 0;
+        for s in 0..slots {
+            let old_end = self.ends.get(s).map_or(old_start, |&end| end as usize);
+            match fresh.next_if(|(&miss, _)| miss == s) {
+                Some((_, list)) => {
+                    for package in &list {
+                        entries.push(intern(package, &mut slate));
+                    }
+                    self.rows[s * dim..(s + 1) * dim].copy_from_slice(pool.get(s).weights);
+                }
+                None => {
+                    for &old in &self.entries[old_start..old_end] {
+                        let old = old as usize;
+                        if remap[old] == u32::MAX {
+                            remap[old] = intern(&self.slate[old], &mut slate);
+                        }
+                        entries.push(remap[old]);
+                    }
+                }
+            }
+            if s < cached {
+                self.ends[s] = entries.len() as u32;
+            } else {
+                self.ends.push(entries.len() as u32);
+            }
+            old_start = old_end;
+        }
+        self.ends.truncate(slots);
+        self.entries = entries;
+        self.slate = slate;
+    }
+}
+
+/// Runs `Top-k-Pkg` for the given pool slots, in order: contiguous runs of
+/// the slot list per OS thread, each with its own utility and
+/// [`SearchScratch`] but all sharing the one immutable index, re-joined in
+/// slot order, so the outcome is identical to the serial path.
+fn search_slots(
+    context: &AggregationContext,
+    catalog: &Catalog,
+    lists: &SortedLists,
+    pool: &SamplePool,
+    slots: &[usize],
+    depth: usize,
+    num_threads: usize,
+) -> Result<(Vec<Vec<Package>>, AggregatedSearchStats)> {
+    let search = |part: &[usize]| -> Result<(Vec<Vec<Package>>, AggregatedSearchStats)> {
         let mut utility = LinearUtility::new(context.clone(), vec![0.0; context.dim()])?;
         let mut scratch = SearchScratch::new();
-        let mut found = Vec::with_capacity(sample_count);
-        for sample in pool.samples() {
-            utility.set_weights(sample.weights)?;
-            let result =
-                top_k_packages_with_scratch(&utility, catalog, lists, depth, &mut scratch)?;
-            stats.record(&result.stats);
-            found.push(result.into_packages());
-        }
-        found
-    } else {
-        // Data-parallel split: contiguous chunks of the pool per OS thread,
-        // each owning its utility, its candidate arena and its per-access
-        // scratch buffers ([`SearchScratch`]) but all sharing the one
-        // immutable index; chunk results are re-joined in pool order, so the
-        // outcome is identical to the serial path.
-        let chunk = sample_count.div_ceil(threads);
-        type ChunkResult = Result<(Vec<Vec<Package>>, AggregatedSearchStats)>;
-        let chunks: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let first = t * chunk;
-                    let last = ((t + 1) * chunk).min(sample_count);
-                    scope.spawn(move || -> ChunkResult {
-                        let mut utility =
-                            LinearUtility::new(context.clone(), vec![0.0; context.dim()])?;
-                        let mut scratch = SearchScratch::new();
-                        let mut chunk_stats = AggregatedSearchStats::default();
-                        let found = (first..last)
-                            .map(|s| {
-                                utility.set_weights(pool.get(s).weights)?;
-                                let result = top_k_packages_with_scratch(
-                                    &utility,
-                                    catalog,
-                                    lists,
-                                    depth,
-                                    &mut scratch,
-                                )?;
-                                chunk_stats.record(&result.stats);
-                                Ok(result.into_packages())
-                            })
-                            .collect::<Result<Vec<Vec<Package>>>>()?;
-                        Ok((found, chunk_stats))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("discovery thread does not panic"))
-                .collect()
-        });
-        let mut found = Vec::with_capacity(sample_count);
-        for chunk_result in chunks {
-            let (chunk_found, chunk_stats) = chunk_result?;
-            found.extend(chunk_found);
-            stats.merge(&chunk_stats);
-        }
-        found
+        let mut stats = AggregatedSearchStats::default();
+        let found = part
+            .iter()
+            .map(|&s| {
+                utility.set_weights(pool.get(s).weights)?;
+                let result =
+                    top_k_packages_with_scratch(&utility, catalog, lists, depth, &mut scratch)?;
+                stats.record(&result.stats);
+                Ok(result.into_packages())
+            })
+            .collect::<Result<_>>()?;
+        Ok((found, stats))
     };
-    // Deduplicate the union of discovered packages into the flat candidate
-    // matrix; each sample's list becomes indices into it.
-    let mut candidates: Vec<Package> = Vec::new();
-    let mut vectors = CandidateMatrix::new(context.dim());
-    let mut index_of: HashMap<Package, usize> = HashMap::new();
-    let mut per_sample = Vec::with_capacity(sample_count);
-    for list in discovered {
-        let mut indices = Vec::with_capacity(list.len());
-        for package in list {
-            let index = match index_of.get(&package) {
-                Some(&i) => i,
-                None => {
-                    let i = candidates.len();
-                    vectors.push_row(&context.package_vector(catalog, &package)?);
-                    index_of.insert(package.clone(), i);
-                    candidates.push(package);
-                    i
-                }
-            };
-            indices.push(index);
-        }
-        per_sample.push(indices);
+    let threads = num_threads.max(1).min(slots.len());
+    if slots.is_empty() {
+        return Ok((Vec::new(), AggregatedSearchStats::default()));
     }
-    Ok((candidates, vectors, per_sample, stats))
+    if threads == 1 {
+        return search(slots);
+    }
+    let parts: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slots
+            .chunks(slots.len().div_ceil(threads))
+            .map(|part| scope.spawn(move || search(part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("discovery thread does not panic"))
+            .collect()
+    });
+    let mut found = Vec::with_capacity(slots.len());
+    let mut stats = AggregatedSearchStats::default();
+    for part in parts {
+        let (part_found, part_stats) = part?;
+        found.extend(part_found);
+        stats.merge(&part_stats);
+    }
+    Ok((found, stats))
 }
 
 /// [`per_sample_rankings`] with the scoring stack split across up to
@@ -240,18 +410,23 @@ pub fn per_sample_rankings_threaded(
     depth: usize,
     num_threads: usize,
 ) -> Result<Vec<PerSampleRanking>> {
-    let lists = SortedLists::new(catalog.rows());
-    per_sample_rankings_indexed(context, catalog, &lists, pool, depth, num_threads)
-        .map(|(rankings, _)| rankings)
+    per_sample_rankings_indexed(
+        context,
+        catalog,
+        catalog.sorted_lists(),
+        pool,
+        depth,
+        num_threads,
+    )
+    .map(|(rankings, _)| rankings)
 }
 
-/// The fully-equipped ranking step: [`per_sample_rankings_threaded`] over a
-/// prebuilt, catalog-cached [`SortedLists`] index (the per-feature item order
-/// is weight-independent, so one index serves every sample of every round),
-/// returning the per-sample rankings together with the aggregated search
-/// statistics of all the `Top-k-Pkg` runs.  The engine and the pool-based
-/// baselines call this form; the wrappers above rebuild the index per call
-/// for one-shot callers.
+/// The fully-equipped, memo-free ranking step: [`per_sample_rankings_threaded`]
+/// over an explicit [`SortedLists`] index of the catalog, searching every
+/// sample, and returning the per-sample rankings together with the
+/// aggregated search statistics of all the `Top-k-Pkg` runs.  Owners of a
+/// pool that persists across rounds rank through a [`DiscoveryMemo`]
+/// instead.
 pub fn per_sample_rankings_indexed(
     context: &AggregationContext,
     catalog: &Catalog,
@@ -260,21 +435,7 @@ pub fn per_sample_rankings_indexed(
     depth: usize,
     num_threads: usize,
 ) -> Result<(Vec<PerSampleRanking>, AggregatedSearchStats)> {
-    if pool.is_empty() {
-        return Ok((Vec::new(), AggregatedSearchStats::default()));
-    }
-    let (candidates, vectors, per_sample, stats) =
-        discover_candidates(context, catalog, lists, pool, depth, num_threads)?;
-    let scores = score_batch_threaded(&vectors, pool.weight_matrix(), num_threads);
-    Ok((
-        ranking::per_sample_rankings_from_scores(
-            &candidates,
-            &scores,
-            pool.importances(),
-            &per_sample,
-        ),
-        stats,
-    ))
+    DiscoveryMemo::new().rank(context, catalog, lists, pool, depth, num_threads)
 }
 
 /// Extends a presentation list with random exploration packages until it

@@ -19,9 +19,9 @@
 //! * **Shared sorted lists** — per-feature item order is weight-independent;
 //!   only the scan *direction* and the set of active features vary per weight
 //!   vector.  [`top_k_packages_with_lists`] therefore takes a prebuilt
-//!   [`SortedLists`] index that the engine builds once per catalog and reuses
-//!   across every sample and round; [`top_k_packages`] builds a fresh index
-//!   for one-shot callers.
+//!   [`SortedLists`] index; [`top_k_packages`] and every engine and baseline
+//!   session use the one [`Catalog::sorted_lists`] builds once per catalog
+//!   allocation and reuses across every sample, round and session.
 //! * **Arena candidates** — candidates live in a struct-of-arrays slab with
 //!   parent-pointer item chains (`arena` module): an extension stores
 //!   `(parent, item)` plus a handful of incrementally-updated scalars instead
@@ -87,6 +87,11 @@ pub struct SearchStats {
 pub struct AggregatedSearchStats {
     /// Number of `Top-k-Pkg` runs aggregated.
     pub searches: usize,
+    /// Number of pool slots whose discovery reused the packages of an
+    /// earlier run under the same weight row instead of searching (see
+    /// [`DiscoveryMemo`](crate::recommender::DiscoveryMemo)), so
+    /// `searches + reused` is the number of slots discovered.
+    pub reused: usize,
     /// Total sorted accesses across all runs.
     pub sorted_accesses: usize,
     /// Total distinct items accessed across all runs.
@@ -114,6 +119,7 @@ impl AggregatedSearchStats {
     /// accumulators).
     pub fn merge(&mut self, other: &AggregatedSearchStats) {
         self.searches += other.searches;
+        self.reused += other.reused;
         self.sorted_accesses += other.sorted_accesses;
         self.items_accessed += other.items_accessed;
         self.candidates_created += other.candidates_created;
@@ -125,6 +131,7 @@ impl AggregatedSearchStats {
     pub fn delta_since(&self, baseline: &AggregatedSearchStats) -> AggregatedSearchStats {
         AggregatedSearchStats {
             searches: self.searches.saturating_sub(baseline.searches),
+            reused: self.reused.saturating_sub(baseline.reused),
             sorted_accesses: self
                 .sorted_accesses
                 .saturating_sub(baseline.sorted_accesses),
@@ -232,23 +239,21 @@ impl SearchScratch {
 /// fixed utility function over the catalog, where package size ranges from 1
 /// to the context's maximum package size φ.
 ///
-/// Builds the per-feature sorted lists for this one call; loops that search
-/// the same catalog repeatedly (one search per weight sample per round)
-/// should build the index once and call [`top_k_packages_with_lists`].
+/// Searches the catalog's own [`Catalog::sorted_lists`] index (built on the
+/// catalog's first search, shared by every later one).
 pub fn top_k_packages(
     utility: &LinearUtility,
     catalog: &Catalog,
     k: usize,
 ) -> Result<SearchResult> {
-    let lists = SortedLists::new(catalog.rows());
-    top_k_packages_with_lists(utility, catalog, &lists, k)
+    top_k_packages_with_lists(utility, catalog, catalog.sorted_lists(), k)
 }
 
 /// [`top_k_packages`] over a prebuilt [`SortedLists`] index of the catalog.
 ///
 /// The index is weight-independent (construction sorts each feature column
-/// once), so one index serves every weight vector: the engine caches it per
-/// catalog and reuses it across all samples and rounds.
+/// once), so one index serves every weight vector; the catalog keeps one
+/// ([`Catalog::sorted_lists`]) for all samples, rounds and sessions.
 ///
 /// # Panics
 /// In debug builds, panics if the index does not match the catalog's shape.

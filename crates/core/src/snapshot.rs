@@ -16,12 +16,17 @@
 //! budget ([`RecommenderEngine::num_threads`]) is likewise not captured — it
 //! is a property of the process serving the session, not of the session, so
 //! restored engines resume serial until
-//! [`RecommenderEngine::set_num_threads`] is called.
+//! [`RecommenderEngine::set_num_threads`] is called.  Derived state is not
+//! captured either: the catalog's sorted lists and the engine's per-slot
+//! [`DiscoveryMemo`](crate::recommender::DiscoveryMemo) are rebuilt on use,
+//! so a restored engine's first discovery searches every pool slot.
 //!
 //! The sample pool serialises in its original row-oriented shape
 //! (`{"samples": [{"weights": …, "importance": …}]}`) even though it is
 //! stored columnar in memory, so the snapshot layout survived the columnar
 //! refactor unchanged and [`SNAPSHOT_VERSION`] did not need to move.
+
+use std::sync::Arc;
 
 use pkgrec_gmm::GaussianMixture;
 use serde::{Deserialize, Serialize};
@@ -48,8 +53,9 @@ pub struct SessionSnapshot {
     pub profile: Profile,
     /// The maximum package size φ.
     pub max_package_size: usize,
-    /// The item catalog the session recommends from.
-    pub catalog: Catalog,
+    /// The item catalog the session recommends from, shared with the engine
+    /// it was taken from (and with the one it restores into).
+    pub catalog: Arc<Catalog>,
     /// The preference DAG accumulated from feedback.
     pub preferences: PreferenceStore,
     /// The weight-sample pool at snapshot time.
@@ -66,7 +72,7 @@ impl RecommenderEngine {
             config: self.config().clone(),
             profile: self.context().profile().clone(),
             max_package_size: self.context().max_package_size(),
-            catalog: self.catalog().clone(),
+            catalog: Arc::clone(self.catalog_handle()),
             preferences: self.preferences().clone(),
             pool: self.pool().clone(),
             rounds: self.rounds(),

@@ -141,17 +141,19 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Builds the live session this configuration describes.
+    /// Builds the live session this configuration describes.  The session
+    /// holds this config's catalog `Arc` (no copy), and with it the catalog's
+    /// one sorted-lists index.
     pub fn build(&self) -> Result<LiveSession> {
         match &self.spec {
             RecommenderSpec::Engine(config) => Ok(LiveSession::Engine(Box::new(
-                RecommenderEngine::builder(self.catalog.as_ref().clone(), self.profile.clone())
+                RecommenderEngine::builder(self.catalog.clone(), self.profile.clone())
                     .max_package_size(self.max_package_size)
                     .config(config.clone())
                     .build()?,
             ))),
             RecommenderSpec::Baseline(spec) => Ok(LiveSession::Baseline(spec.build(
-                self.catalog.as_ref().clone(),
+                self.catalog.clone(),
                 self.profile.clone(),
                 self.max_package_size,
             )?)),

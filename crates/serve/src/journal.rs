@@ -13,13 +13,13 @@
 //! [`SessionEvent::Snapshot`] events are checkpoints: when the store spills
 //! an engine session (capacity eviction or an explicit
 //! [`SessionStore::snapshot`](crate::SessionStore::snapshot) call), it
-//! appends the session's [`SessionSnapshot`](pkgrec_core::SessionSnapshot)
+//! appends the session's [`SessionSnapshot`]
 //! JSON together with the operation count, and replay fast-forwards from the
 //! latest checkpoint instead of re-running the whole history.  Baseline
 //! sessions have no snapshot form, so their replay always starts from
 //! `Created` — the journal *is* their snapshot.
 
-use pkgrec_core::{CoreError, Feedback, Package, RecommenderEngine, Result};
+use pkgrec_core::{CoreError, Feedback, Package, RecommenderEngine, Result, SessionSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{op_rng, LiveSession, SessionConfig, SessionId};
@@ -43,7 +43,7 @@ pub enum SessionEvent {
     Recommended,
     /// A spill checkpoint: the session's snapshot JSON at `ops` operations.
     Snapshot {
-        /// [`SessionSnapshot`](pkgrec_core::SessionSnapshot) as JSON.
+        /// [`SessionSnapshot`] as JSON.
         json: String,
         /// Operations applied before the checkpoint was taken.
         ops: u64,
@@ -182,9 +182,14 @@ impl Journal {
             });
         let (start, mut session, mut ops, mut last_shown) = match checkpoint {
             Some((i, json, ops, last_shown)) => {
-                let snapshot = serde_json::from_str(json).map_err(|e| {
+                let mut snapshot: SessionSnapshot = serde_json::from_str(json).map_err(|e| {
                     CoreError::InvalidConfig(format!("corrupt snapshot checkpoint for {id}: {e}"))
                 })?;
+                // The checkpoint carries its own copy of the catalog; resume
+                // on the config's (interned) one and its sorted lists.
+                if snapshot.catalog == config.catalog {
+                    snapshot.catalog = config.catalog.clone();
+                }
                 let engine = RecommenderEngine::restore(snapshot)?;
                 (
                     i + 1,
@@ -389,6 +394,8 @@ mod tests {
             panic!("engine session expected");
         };
         assert_eq!(engine.snapshot(), replica.snapshot());
+        // The checkpoint's own catalog copy gives way to the config's.
+        assert!(std::ptr::eq(replica.catalog(), &*replayed.config.catalog));
     }
 
     #[test]

@@ -299,8 +299,11 @@ fn engine_cached_sorted_lists_equal_freshly_built_ones() {
     assert_eq!(via_cache, via_fresh);
 }
 
-/// The engine accumulates one search per pool sample per recommendation and
-/// exposes the totals through both the accessor and the `Recommender` state.
+/// The engine searches each pool slot whose weight row changed since the
+/// last discovery and reuses the others' packages, exposing the totals
+/// through both the accessor and the `Recommender` state: a second
+/// `recommend` on an unchanged pool searches nothing and reuses every slot,
+/// and after a click the next discovery searches exactly the replaced rows.
 #[test]
 fn engine_aggregates_search_stats_across_recommendations() {
     use rand::SeedableRng;
@@ -316,13 +319,41 @@ fn engine_aggregates_search_stats_across_recommendations() {
     engine.recommend(&mut rng).unwrap();
     let after_one = engine.search_stats();
     assert_eq!(after_one.searches, 25);
+    assert_eq!(after_one.reused, 0);
     assert!(after_one.sorted_accesses > 0);
     assert!(after_one.candidates_created > 0);
     engine.recommend(&mut rng).unwrap();
     let after_two = engine.search_stats();
-    assert_eq!(after_two.searches, 50);
+    let second = after_two.delta_since(&after_one);
+    assert_eq!(second.searches, 0);
+    assert_eq!(second.reused, 25);
+    assert_eq!(second.sorted_accesses, 0);
     let recommender: &dyn Recommender = &engine;
     assert_eq!(recommender.state().search, after_two);
+
+    let shown = engine.present(&mut rng).unwrap();
+    assert_eq!(engine.search_stats().delta_since(&after_two).searches, 0);
+    let context = AggregationContext::new(Profile::cost_quality(), engine.catalog(), 3).unwrap();
+    let user = SimulatedUser::new(LinearUtility::new(context, vec![-0.4, 0.8]).unwrap());
+    let index = user.choose(engine.catalog(), &shown, &mut rng).unwrap();
+    let rows = engine.pool().weight_rows();
+    engine
+        .record_feedback(&shown, Feedback::Click { index }, &mut rng)
+        .unwrap();
+    let replaced = engine
+        .pool()
+        .weight_rows()
+        .iter()
+        .zip(&rows)
+        .filter(|(now, before)| now != before)
+        .count();
+    assert!(replaced > 0, "the click replaces some samples");
+    let before = engine.search_stats();
+    engine.recommend(&mut rng).unwrap();
+    let third = engine.search_stats().delta_since(&before);
+    assert_eq!(third.searches, replaced);
+    assert_eq!(third.reused, 25 - replaced);
+
     engine.reset_search_stats();
     assert_eq!(engine.search_stats(), AggregatedSearchStats::default());
 }

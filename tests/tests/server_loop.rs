@@ -510,6 +510,82 @@ fn deeply_nested_json_gets_invalid_request_and_the_server_keeps_serving() {
     assert_eq!(report.connections, 2, "{report:?}");
 }
 
+/// A CRC-valid `Create` whose catalog `Catalog::new` would refuse — a
+/// ragged row, a negative feature, no items — is refused while the request
+/// decodes, with a typed `InvalidRequest`, instead of panicking the shard
+/// worker that builds its sorted lists.  The connection, the shard and the
+/// server's shutdown all carry on.
+#[test]
+fn hostile_create_catalogs_get_invalid_request_and_the_server_keeps_serving() {
+    let store = SessionStore::new(StoreConfig {
+        shards: 2,
+        capacity_per_shard: 8,
+    })
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let control = server.control();
+    let handle = std::thread::spawn(move || {
+        let mut store = store;
+        server.serve(&mut store).unwrap()
+    });
+
+    let config = fixture_config(7);
+    let valid = serde_json::to_string(&Request::Create {
+        config: config.clone(),
+    })
+    .unwrap();
+    let rows = format!(
+        "\"rows\":{}",
+        serde_json::to_string(&config.catalog.rows().to_vec()).unwrap()
+    );
+    let hostile = [
+        ("\"rows\":[[0.5,0.2],[0.1]]", "dimension mismatch"),
+        ("\"rows\":[[0.5,-0.2]]", "non-negative"),
+        ("\"rows\":[]", "no items"),
+    ];
+    {
+        let mut stream = raw_connect(addr);
+        for (bad_rows, reason) in hostile {
+            let payload = valid.replace(&rows, bad_rows);
+            assert_ne!(payload, valid);
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+            frame.extend_from_slice(payload.as_bytes());
+            stream.write_all(&frame).unwrap();
+            match raw_read_response(&mut stream).unwrap() {
+                Response::Error(wire) => {
+                    assert_eq!(wire.kind, ErrorKind::InvalidRequest);
+                    assert!(wire.message.contains("invalid catalog"), "{wire:?}");
+                    assert!(wire.message.contains(reason), "{wire:?}");
+                }
+                other => panic!("expected InvalidRequest error, got {other:?}"),
+            }
+        }
+        // The same connection is served normally afterwards.
+        stream
+            .write_all(&encode_frame(&Request::Stats).unwrap())
+            .unwrap();
+        match raw_read_response(&mut stream).unwrap() {
+            Response::Stats { sessions, stats } => {
+                assert_eq!(sessions, 0);
+                assert_eq!(stats.created, 0);
+            }
+            other => panic!("expected Stats, got {other:?}"),
+        }
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    let id = client.create(config).unwrap();
+    assert!(!client.present(id).unwrap().is_empty());
+    drop(client);
+
+    control.shutdown();
+    let report = handle.join().expect("serve returns instead of panicking");
+    assert_eq!(report.invalid_requests, 3, "{report:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Loopback equivalence: the wire changes nothing
 // ---------------------------------------------------------------------------

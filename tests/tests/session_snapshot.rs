@@ -150,14 +150,78 @@ fn golden_snapshot_fixture_stays_restorable() {
     assert!(!decoded.preferences.preferences().is_empty());
 
     let mut restored = RecommenderEngine::restore(decoded.clone()).expect("fixture restores");
-    // The restored session re-serialises to the identical snapshot value:
-    // nothing of the wire format was lost or reinterpreted.
+    // The restored session re-serialises to the identical snapshot value,
+    // byte for byte: nothing of the wire format was lost or reinterpreted.
     assert_eq!(restored.snapshot(), decoded);
+    assert_eq!(
+        serde_json::to_string_pretty(&restored.snapshot()).unwrap() + "\n",
+        json
+    );
     // And it keeps serving: the pool is non-empty, so the recommendation is
     // a pure function of the restored state.
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let recs = restored.recommend(&mut rng).unwrap();
     assert_eq!(recs.len(), decoded.config.k);
+}
+
+/// One `SessionConfig`, four sessions: the engine and every `BaselineSpec`
+/// adapter hold the config's catalog allocation itself (no copy) and search
+/// the one sorted-lists index built inside it.
+#[test]
+fn sessions_built_from_one_config_share_its_catalog_and_index() {
+    use pkgrec_baselines::{BaselineSpec, BudgetConstraint, EmRefitConfig, FeatureDirection};
+    use pkgrec_serve::{LiveSession, RecommenderSpec, SessionConfig};
+
+    let catalog = std::sync::Arc::new(golden_fixture_engine().catalog().clone());
+    let lists = catalog.sorted_lists();
+    let specs = [
+        RecommenderSpec::Engine(EngineConfig {
+            k: 2,
+            num_random: 2,
+            num_samples: 20,
+            ..EngineConfig::default()
+        }),
+        RecommenderSpec::Baseline(BaselineSpec::EmRefit(EmRefitConfig {
+            k: 2,
+            num_random: 2,
+            num_samples: 20,
+            samples_per_refit: 40,
+            ..EmRefitConfig::default()
+        })),
+        RecommenderSpec::Baseline(BaselineSpec::HardConstraint {
+            objective_feature: 1,
+            budgets: vec![BudgetConstraint {
+                feature: 0,
+                max_value: 0.8,
+            }],
+            k: 2,
+        }),
+        RecommenderSpec::Baseline(BaselineSpec::Skyline {
+            cardinality: 2,
+            directions: vec![FeatureDirection::Minimize, FeatureDirection::Maximize],
+            k: 2,
+        }),
+    ];
+    for spec in specs {
+        let label = spec.label();
+        let config = SessionConfig {
+            catalog: catalog.clone(),
+            profile: Profile::cost_quality(),
+            max_package_size: 2,
+            spec,
+            seed: 3,
+        };
+        let mut live = config.build().unwrap();
+        live.recommender()
+            .present(&mut rand::rngs::StdRng::seed_from_u64(3))
+            .unwrap();
+        let held = live.inspect().catalog();
+        assert!(std::ptr::eq(held, &*catalog), "{label} copied the catalog");
+        assert!(std::ptr::eq(held.sorted_lists(), lists), "{label}");
+        if let LiveSession::Engine(engine) = &live {
+            assert!(std::ptr::eq(engine.sorted_lists(), lists));
+        }
+    }
 }
 
 /// Documented behaviour (ROADMAP, `snapshot` module docs): the scoring
