@@ -5,6 +5,10 @@
 //!   (`fixtures/journal_segment_v2.bin`) — a PR that changes the framing,
 //!   the CRC, or the record JSON must bump `SEGMENT_VERSION` and
 //!   regenerate the fixture deliberately,
+//! * real spill checkpoints are pinned the same way
+//!   (`fixtures/journal_checkpoint_v2.bin`): the store must write exactly
+//!   those bytes, and reopening them alone must recover sessions that
+//!   recommend what a never-spilled shadow recommends,
 //! * kill-at-random-offset: truncating the concatenated segment stream at
 //!   arbitrary byte offsets and reopening the directory always yields a
 //!   store whose every surviving session matches — **bit for bit** — the
@@ -128,6 +132,135 @@ fn golden_segment_fixture_stays_decodable() {
     assert!(decoded.torn.is_none(), "fixture has no torn tail");
     assert_eq!(decoded.clean_len as usize, disk.len());
     assert_eq!(decoded.records, fixture_records());
+}
+
+// ---------------------------------------------------------------------------
+// Golden checkpoint segment
+// ---------------------------------------------------------------------------
+
+const CHECKPOINT_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/fixtures/journal_checkpoint_v2.bin"
+);
+
+const CHECKPOINT_ROUNDS: usize = 3;
+
+fn checkpoint_catalog() -> std::sync::Arc<Catalog> {
+    std::sync::Arc::new(
+        Catalog::from_rows(vec![
+            vec![0.6, 0.2],
+            vec![0.4, 0.4],
+            vec![0.2, 0.4],
+            vec![0.9, 0.8],
+            vec![0.3, 0.7],
+            vec![0.5, 0.9],
+            vec![0.7, 0.1],
+            vec![0.1, 0.3],
+        ])
+        .unwrap(),
+    )
+}
+
+/// Two fixed-seed engine sessions take turns at present → click, so on a
+/// one-slot shard every turn spills the other session with its real pool
+/// and preference DAG.  Drives `store` and `shadow` identically.
+fn drive_turns(store: &mut SessionStore, shadow: &mut SessionStore) -> Vec<SessionId> {
+    let catalog = checkpoint_catalog();
+    let ids: Vec<SessionId> = [900, 901]
+        .into_iter()
+        .map(|seed| {
+            let id = store.create(session_config(seed, &catalog)).unwrap();
+            assert_eq!(shadow.create(session_config(seed, &catalog)).unwrap(), id);
+            id
+        })
+        .collect();
+    let user = hidden_user(&catalog);
+    for _ in 0..CHECKPOINT_ROUNDS {
+        for &id in &ids {
+            let shown = store.present(id).unwrap();
+            assert_eq!(shadow.present(id).unwrap(), shown);
+            let index = user.choose(&catalog, &shown, &mut user_rng(id.0)).unwrap();
+            let feedback = Feedback::Click { index };
+            store.feedback(id, feedback).unwrap();
+            shadow.feedback(id, feedback).unwrap();
+        }
+    }
+    ids
+}
+
+fn one_slot_store() -> StoreConfig {
+    StoreConfig {
+        shards: 1,
+        capacity_per_shard: 1,
+    }
+}
+
+/// The concatenated segment bytes of a one-shard store's directory.
+fn segment_stream(root: &Path) -> Vec<u8> {
+    let (segments, _) = shard_files(&root.join("shard-0000"));
+    segments
+        .iter()
+        .flat_map(|segment| std::fs::read(segment).unwrap())
+        .collect()
+}
+
+/// Real checkpoints, pinned byte for byte: the segment a one-slot durable
+/// store writes while two engine sessions spill each other.  Regenerate
+/// with `UPDATE_SNAPSHOT_FIXTURE=1 cargo test -p pkgrec-integration-tests
+/// golden`.
+#[test]
+fn golden_checkpoint_segment_is_written_and_recovered() {
+    let root = unique_temp_dir("golden-checkpoint");
+    let mut store = SessionStore::open(&root, one_slot_store()).unwrap();
+    let mut shadow = SessionStore::new(StoreConfig {
+        shards: 1,
+        capacity_per_shard: 2,
+    })
+    .unwrap();
+    let ids = drive_turns(&mut store, &mut shadow);
+    store.sync().unwrap();
+    assert_eq!(shadow.stats().evictions, 0, "the shadow never spills");
+    assert!(
+        store.stats().snapshots >= 2 * CHECKPOINT_ROUNDS,
+        "every turn checkpoints the other session"
+    );
+    drop(store);
+    let written = segment_stream(&root);
+    if std::env::var_os("UPDATE_SNAPSHOT_FIXTURE").is_some() {
+        std::fs::write(CHECKPOINT_FIXTURE, &written).unwrap();
+    }
+    let disk = std::fs::read(CHECKPOINT_FIXTURE)
+        .expect("golden fixture exists (regenerate with UPDATE_SNAPSHOT_FIXTURE=1)");
+    assert!(
+        written == disk,
+        "checkpoint segment bytes drifted ({} bytes written, {} pinned); bump \
+         SEGMENT_VERSION and regenerate the fixture",
+        written.len(),
+        disk.len()
+    );
+
+    // The pinned bytes alone recover both sessions, and they recommend what
+    // the never-spilled shadow recommends.
+    let reopened = unique_temp_dir("golden-checkpoint-reopen");
+    drop(SessionStore::open(&reopened, one_slot_store()).unwrap());
+    std::fs::write(
+        reopened
+            .join("shard-0000")
+            .join("seg-00000000-00000000.pkj"),
+        &disk,
+    )
+    .unwrap();
+    let mut recovered = SessionStore::open(&reopened, one_slot_store()).unwrap();
+    assert_eq!(recovered.session_ids(), ids);
+    for &id in &ids {
+        assert_eq!(
+            recovered.recommend(id).unwrap(),
+            shadow.recommend(id).unwrap(),
+            "recovered {id} diverged from the shadow"
+        );
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+    std::fs::remove_dir_all(&reopened).unwrap();
 }
 
 // ---------------------------------------------------------------------------
