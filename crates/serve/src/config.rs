@@ -25,6 +25,7 @@
 use pkgrec_baselines::BaselineSpec;
 use pkgrec_core::{
     Catalog, CoreError, EngineConfig, Profile, Recommender, RecommenderEngine, Result,
+    SessionSnapshot,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -198,13 +199,11 @@ impl LiveSession {
         }
     }
 
-    /// Serialises the session as a [`SessionSnapshot`](pkgrec_core::SessionSnapshot)
-    /// JSON string, or an error for baseline sessions, whose only durable
-    /// form is their journal.
-    pub fn snapshot_json(&self) -> Result<String> {
+    /// The session's [`SessionSnapshot`], or an error for baseline
+    /// sessions, whose only durable form is their journal.
+    pub fn snapshot(&self) -> Result<SessionSnapshot> {
         match self {
-            LiveSession::Engine(engine) => serde_json::to_string(&engine.snapshot())
-                .map_err(|e| CoreError::InvalidConfig(format!("snapshot serialisation: {e}"))),
+            LiveSession::Engine(engine) => Ok(engine.snapshot()),
             LiveSession::Baseline(session) => Err(CoreError::InvalidConfig(format!(
                 "{} sessions have no snapshot form; restore them by replaying their journal",
                 session.state().label
@@ -279,7 +278,11 @@ mod tests {
 
         let mut live = config.build().unwrap();
         assert_eq!(live.inspect().state().label, "engine");
-        assert!(live.snapshot_json().is_ok());
+        // The snapshot shares the config's catalog instead of copying it.
+        assert!(std::sync::Arc::ptr_eq(
+            &live.snapshot().unwrap().catalog,
+            &config.catalog
+        ));
         let mut rng = op_rng(config.seed, 0);
         assert_eq!(live.recommender().present(&mut rng).unwrap().len(), 4);
     }
@@ -299,9 +302,6 @@ mod tests {
         assert!(!config.spec.supports_snapshot());
         assert_eq!(config.spec.label(), "em-refit");
         let live = config.build().unwrap();
-        assert!(matches!(
-            live.snapshot_json(),
-            Err(CoreError::InvalidConfig(_))
-        ));
+        assert!(matches!(live.snapshot(), Err(CoreError::InvalidConfig(_))));
     }
 }

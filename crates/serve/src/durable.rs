@@ -44,10 +44,24 @@
 //! The log keeps a per-shard catalog intern table keyed by
 //! [`catalog_fingerprint`]: the first event referencing a catalog writes one
 //! [`WireRecord::Catalog`] definition, and every later `Created` event or
-//! `Snapshot` checkpoint stores only the [`CatalogId`].  Definitions always
-//! precede their first use in the same write batch, so recovery resolves
-//! references in a single forward pass and shares one
-//! [`Arc<Catalog>`](std::sync::Arc) across all sessions of a catalog.
+//! `Snapshot` checkpoint stores only the [`CatalogId`].  Sessions share
+//! their config's catalog handle, so most lookups match by pointer before
+//! any row is hashed.  Definitions always precede their first use in the
+//! same write batch, so recovery resolves references in a single forward
+//! pass and shares one [`Arc<Catalog>`](std::sync::Arc) across all sessions
+//! of a catalog.
+//!
+//! ## Checkpoints
+//!
+//! A `Snapshot` event holds a typed
+//! [`SessionSnapshot`](pkgrec_core::SessionSnapshot).  The append renders
+//! it once, with its interned id in the `catalog` field, and recovery
+//! decodes each checkpoint record straight back into a snapshot on the
+//! recovered catalog (`segment::checkpoint_value` and
+//! `segment::checkpoint_snapshot`).  No snapshot is parsed at the append or
+//! rendered at recovery, and the segment bytes are those of the snapshot's
+//! own serde form.  A checkpoint record that is not a snapshot fails
+//! recovery with an `InvalidData` error naming its session.
 
 use std::collections::HashMap;
 use std::fs;
@@ -57,14 +71,13 @@ use std::sync::Arc;
 
 use pkgrec_core::{Catalog, CoreError, Result};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 use crate::config::{catalog_fingerprint, SessionConfig, SessionId};
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
 use crate::journal::SessionEvent;
 use crate::segment::{
-    decode_segment, encode_record, write_header, CatalogId, WireEvent, WireRecord,
-    SEGMENT_HEADER_LEN, SEGMENT_VERSION,
+    checkpoint_snapshot, checkpoint_value, decode_segment, encode_record, write_header, CatalogId,
+    WireEvent, WireRecord, SEGMENT_HEADER_LEN, SEGMENT_VERSION,
 };
 
 /// Shape of a store's durable journal.
@@ -430,6 +443,15 @@ impl SegmentWriter {
     /// batch on first sight (so the definition always precedes its first
     /// use on disk).
     fn intern_catalog(&mut self, catalog: &Arc<Catalog>) -> Result<CatalogId> {
+        // Sessions and their checkpoints share the config's interned handle,
+        // so a pointer match usually settles it without hashing the rows.
+        if let Some(index) = self
+            .catalogs
+            .iter()
+            .rposition(|known| Arc::ptr_eq(known, catalog))
+        {
+            return Ok(CatalogId(index as u64));
+        }
         let fingerprint = catalog_fingerprint(catalog);
         if let Some(ids) = self.intern.get(&fingerprint) {
             for &id in ids {
@@ -464,36 +486,14 @@ impl SegmentWriter {
             SessionEvent::Feedback(feedback) => WireEvent::Feedback(*feedback),
             SessionEvent::Recommended => WireEvent::Recommended,
             SessionEvent::Snapshot {
-                json,
+                snapshot,
                 ops,
                 last_shown,
-            } => {
-                let mut snapshot: Value = serde_json::from_str(json)
-                    .map_err(|e| CoreError::io_data(format!("parse snapshot checkpoint: {e}")))?;
-                let Value::Object(entries) = &mut snapshot else {
-                    return Err(CoreError::io_data(
-                        "snapshot checkpoint is not a JSON object",
-                    ));
-                };
-                let slot = entries
-                    .iter_mut()
-                    .find(|(key, _)| key == "catalog")
-                    .ok_or_else(|| {
-                        CoreError::io_data("snapshot checkpoint has no catalog field")
-                    })?;
-                // Intern the snapshot's *own* parsed catalog (not the
-                // session config's): substituting its serialised form back
-                // on decode is then exactly inverse, byte for byte.
-                let catalog = <Catalog as Deserialize>::from_json_value(&slot.1)
-                    .map_err(|e| CoreError::io_data(format!("parse snapshot catalog: {e}")))?;
-                let id = self.intern_catalog(&Arc::new(catalog))?;
-                slot.1 = Value::Int(id.0 as i128);
-                WireEvent::Snapshot {
-                    snapshot,
-                    ops: *ops,
-                    last_shown: last_shown.clone(),
-                }
-            }
+            } => WireEvent::Snapshot {
+                snapshot: checkpoint_value(snapshot, self.intern_catalog(&snapshot.catalog)?),
+                ops: *ops,
+                last_shown: last_shown.clone(),
+            },
         })
     }
 }
@@ -614,7 +614,6 @@ impl ShardLog {
 
         // Resolve interned references in one forward pass, re-seeding the
         // intern table so new appends reuse the recovered definitions.
-        let mut catalog_values: HashMap<u64, Value> = HashMap::new();
         let mut events = Vec::new();
         for record in records {
             match record {
@@ -626,13 +625,12 @@ impl ShardLog {
                             log.writer.catalogs.len()
                         )));
                     }
-                    catalog_values.insert(id.0, catalog.to_json_value());
                     let fingerprint = catalog_fingerprint(&catalog);
                     log.writer.intern.entry(fingerprint).or_default().push(id);
                     log.writer.catalogs.push(Arc::new(catalog));
                 }
                 WireRecord::Event { session, event } => {
-                    events.push((session, log.wire_to_event(event, &catalog_values)?));
+                    events.push((session, log.wire_to_event(session, event)?));
                 }
             }
         }
@@ -780,14 +778,12 @@ impl ShardLog {
         Ok(total)
     }
 
-    /// Resolves a recovered wire event back to a journal event, using the
-    /// recovered definitions (`catalog_values` caches their `Value` form so
-    /// snapshot reconstruction is one substitution, not a reserialisation).
-    fn wire_to_event(
-        &self,
-        event: WireEvent,
-        catalog_values: &HashMap<u64, Value>,
-    ) -> Result<SessionEvent> {
+    /// Resolves a recovered wire event of `session` back to a journal
+    /// event on the recovered catalog definitions.  A checkpoint decodes
+    /// straight into a typed snapshot; one that is not a snapshot fails
+    /// recovery here, naming its session, instead of at the session's first
+    /// touch.
+    fn wire_to_event(&self, session: SessionId, event: WireEvent) -> Result<SessionEvent> {
         Ok(match event {
             WireEvent::Created {
                 catalog,
@@ -818,38 +814,21 @@ impl ShardLog {
             WireEvent::Feedback(feedback) => SessionEvent::Feedback(feedback),
             WireEvent::Recommended => SessionEvent::Recommended,
             WireEvent::Snapshot {
-                mut snapshot,
+                snapshot,
                 ops,
                 last_shown,
-            } => {
-                let Value::Object(entries) = &mut snapshot else {
-                    return Err(CoreError::io_data(
-                        "recovered snapshot checkpoint is not a JSON object",
-                    ));
-                };
-                let slot = entries
-                    .iter_mut()
-                    .find(|(key, _)| key == "catalog")
-                    .ok_or_else(|| CoreError::io_data("recovered snapshot has no catalog field"))?;
-                let id = slot
-                    .1
-                    .as_i128()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| {
-                        CoreError::io_data("recovered snapshot catalog reference is not an id")
-                    })?;
-                slot.1 = catalog_values
-                    .get(&id)
-                    .ok_or_else(|| CoreError::io_data(format!("dangling catalog reference {id}")))?
-                    .clone();
-                let json = serde_json::to_string(&snapshot)
-                    .map_err(|e| CoreError::io_data(format!("reserialise snapshot: {e}")))?;
-                SessionEvent::Snapshot {
-                    json,
-                    ops,
-                    last_shown,
-                }
-            }
+            } => SessionEvent::Snapshot {
+                snapshot: Arc::new(
+                    checkpoint_snapshot(&snapshot, &self.writer.catalogs).map_err(|e| {
+                        CoreError::io_data(format!(
+                            "checkpoint of {session} in {} is not a session snapshot: {e}",
+                            self.dir.display()
+                        ))
+                    })?,
+                ),
+                ops,
+                last_shown,
+            },
         })
     }
 }
@@ -865,9 +844,9 @@ impl Drop for ShardLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RecommenderSpec;
+    use crate::config::{op_rng, LiveSession, RecommenderSpec};
     use crate::fault::FaultKind;
-    use pkgrec_core::{EngineConfig, Feedback, Profile};
+    use pkgrec_core::{EngineConfig, Feedback, Profile, SessionSnapshot};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pkgrec-durable-{}-{tag}", std::process::id()));
@@ -894,15 +873,26 @@ mod tests {
         }
     }
 
-    /// A synthetic snapshot-checkpoint JSON embedding the catalog the way a
-    /// real [`SessionSnapshot`](pkgrec_core::SessionSnapshot) does.
-    fn snapshot_json(catalog: &Catalog) -> String {
-        let value = Value::Object(vec![
-            ("version".into(), Value::Number(1.0)),
-            ("catalog".into(), catalog.to_json_value()),
-            ("rounds".into(), Value::Number(2.0)),
-        ]);
-        serde_json::to_string(&value).unwrap()
+    /// A real engine checkpoint after one present → click round: a drawn
+    /// pool, one preference, and the shown list, on `catalog`'s handle.
+    fn engine_checkpoint(catalog: &Arc<Catalog>) -> SessionEvent {
+        let config = session_config(7, catalog);
+        let LiveSession::Engine(mut engine) = config.build().unwrap() else {
+            panic!("engine session expected");
+        };
+        let shown = engine.present(&mut op_rng(config.seed, 0)).unwrap();
+        engine
+            .record_feedback(
+                &shown,
+                Feedback::Click { index: 1 },
+                &mut op_rng(config.seed, 1),
+            )
+            .unwrap();
+        SessionEvent::Snapshot {
+            snapshot: Arc::new(engine.snapshot()),
+            ops: 2,
+            last_shown: shown,
+        }
     }
 
     fn sample_events(catalog: &Arc<Catalog>) -> Vec<(SessionId, SessionEvent)> {
@@ -924,14 +914,7 @@ mod tests {
                     config: session_config(8, catalog),
                 },
             ),
-            (
-                SessionId(0),
-                SessionEvent::Snapshot {
-                    json: snapshot_json(catalog),
-                    ops: 2,
-                    last_shown: Vec::new(),
-                },
-            ),
+            (SessionId(0), engine_checkpoint(catalog)),
             (SessionId(1), SessionEvent::Recommended),
         ]
     }
@@ -969,27 +952,42 @@ mod tests {
 
     #[test]
     fn snapshot_checkpoints_survive_interning_byte_for_byte() {
-        let dir = temp_dir("snapshot-bytes");
+        let dir = temp_dir("snapshot-typed");
         let shared = Arc::new(catalog());
-        let original = snapshot_json(&shared);
         let config = DurabilityConfig::at(&dir);
         let mut log = ShardLog::create(dir.clone(), &config).unwrap();
-        log.append(
-            SessionId(3),
-            &SessionEvent::Snapshot {
-                json: original.clone(),
-                ops: 4,
-                last_shown: Vec::new(),
-            },
-        )
-        .unwrap();
-        log.sync().unwrap();
-        drop(log);
-        let (_, replayed) = ShardLog::recover(dir.clone(), &config).unwrap();
-        let SessionEvent::Snapshot { json, .. } = &replayed[0].1 else {
-            panic!("snapshot expected");
+        let created = SessionEvent::Created {
+            config: session_config(7, &shared),
         };
-        assert_eq!(json, &original);
+        let checkpoint = engine_checkpoint(&shared);
+        log.append(SessionId(3), &created).unwrap();
+        log.append(SessionId(3), &checkpoint).unwrap();
+        log.sync().unwrap();
+        // The checkpoint shared the config's handle, so interning it wrote
+        // no second catalog definition.
+        assert_eq!(log.writer.catalogs.len(), 1);
+        drop(log);
+
+        let (_, replayed) = ShardLog::recover(dir.clone(), &config).unwrap();
+        assert_eq!(replayed[1].1, checkpoint);
+        let (
+            SessionEvent::Created { config: recovered },
+            SessionEvent::Snapshot { snapshot, .. },
+            SessionEvent::Snapshot {
+                snapshot: original, ..
+            },
+        ) = (&replayed[0].1, &replayed[1].1, &checkpoint)
+        else {
+            panic!("created and snapshot events expected");
+        };
+        // Decoded onto the recovered catalog, not a copy of its own ...
+        assert!(Arc::ptr_eq(&snapshot.catalog, &recovered.catalog));
+        // ... and rendering it still prints the original snapshot's JSON.
+        assert_eq!(
+            serde_json::to_string(&**snapshot).unwrap(),
+            serde_json::to_string::<SessionSnapshot>(original).unwrap()
+        );
+        assert!(!snapshot.pool.is_empty() && !snapshot.preferences.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

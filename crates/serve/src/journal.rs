@@ -13,11 +13,15 @@
 //! [`SessionEvent::Snapshot`] events are checkpoints: when the store spills
 //! an engine session (capacity eviction or an explicit
 //! [`SessionStore::snapshot`](crate::SessionStore::snapshot) call), it
-//! appends the session's [`SessionSnapshot`]
-//! JSON together with the operation count, and replay fast-forwards from the
-//! latest checkpoint instead of re-running the whole history.  Baseline
-//! sessions have no snapshot form, so their replay always starts from
-//! `Created` — the journal *is* their snapshot.
+//! appends the session's [`SessionSnapshot`] together with the operation
+//! count, and replay fast-forwards from the latest checkpoint instead of
+//! re-running the whole history.  A checkpoint is a typed value, not JSON:
+//! it shares the session config's catalog, a memory-only store never
+//! renders it, and a durable store renders it once, at the segment append
+//! ([`crate::segment`]).  Baseline sessions have no snapshot form, so their
+//! replay always starts from `Created` — the journal *is* their snapshot.
+
+use std::sync::Arc;
 
 use pkgrec_core::{CoreError, Feedback, Package, RecommenderEngine, Result, SessionSnapshot};
 use serde::{Deserialize, Serialize};
@@ -41,10 +45,12 @@ pub enum SessionEvent {
     /// One standalone `recommend` operation ran (it may lazily refill a
     /// sample pool, so it counts as a state-changing operation).
     Recommended,
-    /// A spill checkpoint: the session's snapshot JSON at `ops` operations.
+    /// A spill checkpoint: the session's snapshot at `ops` operations.
     Snapshot {
-        /// [`SessionSnapshot`] as JSON.
-        json: String,
+        /// The engine's [`SessionSnapshot`], sharing its catalog with the
+        /// session config; behind an `Arc` so copying the event (journal
+        /// export, compaction) copies no pool.
+        snapshot: Arc<SessionSnapshot>,
         /// Operations applied before the checkpoint was taken.
         ops: u64,
         /// The last presented list at checkpoint time (empty if none) —
@@ -174,20 +180,22 @@ impl Journal {
             .rev()
             .find_map(|(i, event)| match event {
                 SessionEvent::Snapshot {
-                    json,
+                    snapshot,
                     ops,
                     last_shown,
-                } => Some((i, json, *ops, last_shown.clone())),
+                } => Some((i, snapshot, *ops, last_shown.clone())),
                 _ => None,
             });
         let (start, mut session, mut ops, mut last_shown) = match checkpoint {
-            Some((i, json, ops, last_shown)) => {
-                let mut snapshot: SessionSnapshot = serde_json::from_str(json).map_err(|e| {
-                    CoreError::InvalidConfig(format!("corrupt snapshot checkpoint for {id}: {e}"))
-                })?;
-                // The checkpoint carries its own copy of the catalog; resume
-                // on the config's (interned) one and its sorted lists.
-                if snapshot.catalog == config.catalog {
+            Some((i, snapshot, ops, last_shown)) => {
+                let mut snapshot = SessionSnapshot::clone(snapshot);
+                // A checkpoint read back from an exported journal, or
+                // recovered on a shard whose catalog another shard interned
+                // first, carries its own copy of the catalog; resume on the
+                // config's (interned) one and its sorted lists.
+                if !Arc::ptr_eq(&snapshot.catalog, &config.catalog)
+                    && snapshot.catalog == config.catalog
+                {
                     snapshot.catalog = config.catalog.clone();
                 }
                 let engine = RecommenderEngine::restore(snapshot)?;
@@ -379,11 +387,14 @@ mod tests {
         let LiveSession::Engine(engine) = &live else {
             panic!("engine session expected");
         };
-        let json = serde_json::to_string(&engine.snapshot()).unwrap();
+        // A checkpoint on its own copy of the catalog, as one read back from
+        // an exported journal is.
+        let mut snapshot = engine.snapshot();
+        snapshot.catalog = Arc::new(Catalog::clone(&snapshot.catalog));
         journal.append(
             SessionId(1),
             SessionEvent::Snapshot {
-                json,
+                snapshot: Arc::new(snapshot),
                 ops,
                 last_shown: Vec::new(),
             },
@@ -440,11 +451,10 @@ mod tests {
         let LiveSession::Engine(engine) = &live else {
             panic!("engine session expected");
         };
-        let json = serde_json::to_string(&engine.snapshot()).unwrap();
         journal.append(
             SessionId(1),
             SessionEvent::Snapshot {
-                json,
+                snapshot: Arc::new(engine.snapshot()),
                 ops,
                 last_shown: Vec::new(),
             },
@@ -463,11 +473,31 @@ mod tests {
 
     #[test]
     fn journal_serde_round_trips() {
-        let (journal, _, _) = drive(2, 31);
+        let (mut journal, live, ops) = drive(2, 31);
+        let LiveSession::Engine(engine) = &live else {
+            panic!("engine session expected");
+        };
+        let snapshot = engine.snapshot();
+        journal.append(
+            SessionId(1),
+            SessionEvent::Snapshot {
+                snapshot: Arc::new(snapshot.clone()),
+                ops,
+                last_shown: Vec::new(),
+            },
+        );
         let json = serde_json::to_string(&journal).unwrap();
+        // The checkpoint exports as the snapshot object itself.
+        let rendered = serde_json::to_string(&snapshot).unwrap();
+        assert!(json.contains(&format!("{{\"snapshot\":{rendered},")));
         let back: Journal = serde_json::from_str(&json).unwrap();
         assert_eq!(back, journal);
         assert_eq!(back.created_sessions().len(), 1);
-        assert_eq!(back.events_for(SessionId(1)).len(), 5);
+        assert_eq!(back.events_for(SessionId(1)).len(), 6);
+        let replayed = back.replay(SessionId(1)).unwrap();
+        let LiveSession::Engine(replica) = &replayed.session else {
+            panic!("engine session expected");
+        };
+        assert_eq!(replica.snapshot(), snapshot);
     }
 }

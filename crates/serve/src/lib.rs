@@ -14,7 +14,10 @@
 //! * [`Journal`] — the in-memory append-only log of session events;
 //!   [`Journal::replay`] reconstructs any session *bit-identically*, so
 //!   the journal — not the process — is the authoritative form of a
-//!   session (in the spirit of log-structured systems such as LogBase),
+//!   session (in the spirit of log-structured systems such as LogBase);
+//!   its spill checkpoints are typed
+//!   [`SessionSnapshot`](pkgrec_core::SessionSnapshot)s sharing the
+//!   session's catalog, so a memory-only store never renders JSON,
 //! * the **durable journal** ([`DurabilityConfig`], [`SessionStore::open`])
 //!   — per-shard segment files that make the log survive the process:
 //!   every event is appended (group-committed, CRC-framed, catalogs
@@ -46,7 +49,8 @@
 //! Records are catalog intern-table definitions or session events; a
 //! `Created`/`Snapshot` stores a [`CatalogId`] reference, so a fleet
 //! sharing one catalog writes its rows once per shard, not once per
-//! session.  [`SessionStore::compact`] checkpoints live sessions and
+//! session.  A checkpoint is rendered once, at its append, and recovery
+//! decodes it straight back into a typed snapshot on the shared catalog.  [`SessionStore::compact`] checkpoints live sessions and
 //! rewrites each shard's retained tail into a fresh generation — the new
 //! marker is committed before the old generation is deleted, so a crash at
 //! any byte leaves exactly one recoverable generation.  Recovery

@@ -28,14 +28,24 @@
 //! `Snapshot` checkpoint, so journal bytes grow O(sessions × catalog).  v2
 //! serialises each distinct catalog exactly once as a
 //! [`WireRecord::Catalog`] definition; [`WireEvent::Created`] references it
-//! by [`CatalogId`], and [`WireEvent::Snapshot`] carries the snapshot JSON
-//! as a value tree whose `"catalog"` field is replaced by the id.  A
-//! definition always precedes its first use in segment order, so a single
-//! forward pass over the segments resolves every reference.
+//! by [`CatalogId`], and [`WireEvent::Snapshot`] carries the checkpoint's
+//! [`SessionSnapshot`] as its value tree with the `"catalog"` field holding
+//! the id instead of the rows.  A definition always precedes its first use
+//! in segment order, so a single forward pass over the segments resolves
+//! every reference.
+//!
+//! A checkpoint crosses this codec as a typed value in both directions:
+//! `checkpoint_value` renders the snapshot with its interned id once, at
+//! the append, and `checkpoint_snapshot` decodes a recovered record
+//! straight into a snapshot on the shared catalog its id names.  Neither
+//! renders nor parses the catalog, and no snapshot JSON string exists on
+//! either side.
+
+use std::sync::Arc;
 
 use crate::config::{RecommenderSpec, SessionId};
-use pkgrec_core::{Catalog, Feedback, Package, Profile};
-use serde::{Deserialize, Serialize};
+use pkgrec_core::{Catalog, Feedback, Package, Profile, SessionSnapshot};
+use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 
 /// First bytes of every segment file.
@@ -85,10 +95,8 @@ pub enum WireEvent {
     Feedback(Feedback),
     /// A final recommendation was computed.
     Recommended,
-    /// A spill checkpoint: the snapshot JSON as a parsed value tree whose
-    /// `"catalog"` field holds the interned id as a JSON number (restored to
-    /// the full catalog object on decode, reproducing the original snapshot
-    /// string byte for byte).
+    /// A spill checkpoint: the snapshot's value tree, whose `"catalog"`
+    /// field holds the interned id as a JSON number instead of the rows.
     Snapshot {
         /// The snapshot value tree with the catalog field interned away.
         snapshot: Value,
@@ -116,6 +124,62 @@ pub enum WireRecord {
         /// The event in wire form.
         event: WireEvent,
     },
+}
+
+/// The value tree [`WireEvent::Snapshot`] carries for `snapshot`: the
+/// snapshot's own serde form, field for field and in declaration order, with
+/// `catalog` holding the interned id instead of the rows.  The catalog is
+/// never rendered; its definition record holds the rows once per shard.
+pub(crate) fn checkpoint_value(snapshot: &SessionSnapshot, catalog: CatalogId) -> Value {
+    let SessionSnapshot {
+        version,
+        config,
+        profile,
+        max_package_size,
+        catalog: _,
+        preferences,
+        pool,
+        rounds,
+    } = snapshot;
+    Value::Object(vec![
+        ("version".into(), version.to_json_value()),
+        ("config".into(), config.to_json_value()),
+        ("profile".into(), profile.to_json_value()),
+        ("max_package_size".into(), max_package_size.to_json_value()),
+        ("catalog".into(), catalog.0.to_json_value()),
+        ("preferences".into(), preferences.to_json_value()),
+        ("pool".into(), pool.to_json_value()),
+        ("rounds".into(), rounds.to_json_value()),
+    ])
+}
+
+/// Decodes a [`WireEvent::Snapshot`] value tree into a snapshot on
+/// `catalogs[id]`, the shared catalog its interned id names — the inverse
+/// of [`checkpoint_value`].  A value that is not a snapshot, or whose id
+/// names no catalog in `catalogs`, is an error.
+pub(crate) fn checkpoint_snapshot(
+    value: &Value,
+    catalogs: &[Arc<Catalog>],
+) -> Result<SessionSnapshot, DeError> {
+    let entries = value
+        .as_object()
+        .ok_or_else(|| DeError::expected("a snapshot object", value))?;
+    let field = |name| serde::get_field(entries, name);
+    let id = u64::from_json_value(field("catalog")?)?;
+    let catalog = usize::try_from(id)
+        .ok()
+        .and_then(|index| catalogs.get(index))
+        .ok_or_else(|| DeError(format!("dangling catalog reference {id}")))?;
+    Ok(SessionSnapshot {
+        version: Deserialize::from_json_value(field("version")?)?,
+        config: Deserialize::from_json_value(field("config")?)?,
+        profile: Deserialize::from_json_value(field("profile")?)?,
+        max_package_size: Deserialize::from_json_value(field("max_package_size")?)?,
+        catalog: Arc::clone(catalog),
+        preferences: Deserialize::from_json_value(field("preferences")?)?,
+        pool: Deserialize::from_json_value(field("pool")?)?,
+        rounds: Deserialize::from_json_value(field("rounds")?)?,
+    })
 }
 
 /// CRC32 (IEEE, reflected, polynomial `0xEDB88320`) lookup table, built at
@@ -365,6 +429,96 @@ mod tests {
         let decoded = decode_segment(&corrupt).unwrap();
         assert!(decoded.torn.is_some(), "corruption went undetected");
         assert!(decoded.records.len() < records.len());
+    }
+
+    /// A real engine snapshot after one present → click round.
+    fn engine_snapshot(catalog: &Arc<Catalog>) -> SessionSnapshot {
+        let mut engine =
+            pkgrec_core::RecommenderEngine::builder(Arc::clone(catalog), Profile::cost_quality())
+                .max_package_size(2)
+                .k(2)
+                .num_random(1)
+                .num_samples(12)
+                .build()
+                .unwrap();
+        let mut rng = crate::config::op_rng(5, 0);
+        let shown = engine.present(&mut rng).unwrap();
+        engine
+            .record_feedback(&shown, Feedback::Click { index: 0 }, &mut rng)
+            .unwrap();
+        engine.snapshot()
+    }
+
+    #[test]
+    fn checkpoint_values_print_the_snapshot_with_its_catalog_interned_away() {
+        let shared = Arc::new(catalog());
+        let snapshot = engine_snapshot(&shared);
+        // The old append rendered the snapshot, parsed it, and swapped the
+        // parsed catalog for the id; the typed path must print those bytes.
+        let mut surgery =
+            serde_json::value_from_str(&serde_json::to_string(&snapshot).unwrap()).unwrap();
+        let Value::Object(entries) = &mut surgery else {
+            panic!("a snapshot renders as an object");
+        };
+        let slot = entries
+            .iter_mut()
+            .find(|(key, _)| key == "catalog")
+            .unwrap();
+        slot.1 = Value::Int(3);
+        let value = checkpoint_value(&snapshot, CatalogId(3));
+        let printed = serde_json::to_string(&value).unwrap();
+        assert_eq!(printed, serde_json::to_string(&surgery).unwrap());
+
+        // Decoding resolves the id onto the shared handle, from the printed
+        // bytes as from the value itself.
+        let other = Arc::new(Catalog::from_rows(vec![vec![0.1, 0.1]]).unwrap());
+        let catalogs = [
+            Arc::clone(&other),
+            other.clone(),
+            other,
+            Arc::clone(&shared),
+        ];
+        for tree in [value, serde_json::value_from_str(&printed).unwrap()] {
+            let decoded = checkpoint_snapshot(&tree, &catalogs).unwrap();
+            assert_eq!(decoded, snapshot);
+            assert!(Arc::ptr_eq(&decoded.catalog, &shared));
+        }
+    }
+
+    #[test]
+    fn values_that_are_not_checkpoints_fail_to_decode() {
+        let shared = Arc::new(catalog());
+        let catalogs = [Arc::clone(&shared)];
+        let value = checkpoint_value(&engine_snapshot(&shared), CatalogId(0));
+        let mut dangling = value.clone();
+        if let Value::Object(entries) = &mut dangling {
+            entries
+                .iter_mut()
+                .find(|(key, _)| key == "catalog")
+                .unwrap()
+                .1 = Value::Int(1);
+        }
+        let mut inline = value.clone();
+        if let Value::Object(entries) = &mut inline {
+            entries
+                .iter_mut()
+                .find(|(key, _)| key == "catalog")
+                .unwrap()
+                .1 = shared.to_json_value();
+        }
+        for (bad, reason) in [
+            (
+                serde_json::value_from_str(r#"{"version":1,"catalog":0,"rounds":2}"#).unwrap(),
+                "missing field",
+            ),
+            (Value::Array(Vec::new()), "expected a snapshot object"),
+            (dangling, "dangling catalog reference 1"),
+            (inline, "expected a number"),
+        ] {
+            let err = checkpoint_snapshot(&bad, &catalogs).unwrap_err();
+            assert!(err.0.contains(reason), "{}", err.0);
+        }
+        assert!(checkpoint_snapshot(&value, &catalogs).is_ok());
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! Each shard keeps at most `capacity_per_shard` sessions *live* in memory.
 //! Touching a session beyond that evicts the shard's least-recently-used
 //! live session: engine sessions spill to a [`SessionEvent::Snapshot`]
-//! checkpoint in the journal (O(session) serialisation, O(1) future replay);
-//! baseline sessions simply drop their in-memory form, because the journal
-//! already holds everything needed to rebuild them.  Spilled sessions stay
+//! checkpoint in the journal (a typed copy of the pool and preferences
+//! that shares the config's catalog, so O(session) to take and O(1) to
+//! replay from; no JSON unless the store is durable); baseline sessions
+//! simply drop their in-memory form, because the journal already holds
+//! everything needed to rebuild them.  Spilled sessions stay
 //! addressable — the next operation rehydrates them through
 //! [`Journal::replay`], bit-identically.  Victim selection reads an ordered
 //! LRU index (a BTree keyed by the shard clock), so an eviction costs
@@ -34,6 +36,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 use pkgrec_core::{
     Catalog, CoreError, Feedback, Package, RankedPackage, Recommender, RecommenderState, Result,
+    SessionSnapshot,
 };
 use serde::{Deserialize, Serialize};
 
@@ -472,21 +475,25 @@ impl Shard {
     /// Writes a `Snapshot` checkpoint for a snapshot-capable session into
     /// the journal — the one checkpoint recipe shared by capacity spills
     /// and explicit [`SessionStore::snapshot`] calls.
-    fn write_checkpoint(&mut self, id: SessionId, live: &LiveSession) -> Result<String> {
+    fn write_checkpoint(
+        &mut self,
+        id: SessionId,
+        live: &LiveSession,
+    ) -> Result<Arc<SessionSnapshot>> {
         let entry = self.entry(id)?;
-        let json = live.snapshot_json()?;
+        let snapshot = Arc::new(live.snapshot()?);
         let ops = entry.ops;
         let last_shown = entry.last_shown.clone();
         self.stats.snapshots += 1;
         self.append_event(
             id,
             SessionEvent::Snapshot {
-                json: json.clone(),
+                snapshot: Arc::clone(&snapshot),
                 ops,
                 last_shown,
             },
         )?;
-        Ok(json)
+        Ok(snapshot)
     }
 
     /// Spills one live session: engines checkpoint their snapshot into the
@@ -748,7 +755,8 @@ impl Shard {
 
     /// Serialises the session's snapshot now, journaling it as a checkpoint
     /// (the per-shard form of [`SessionStore::snapshot`]).  Errors for
-    /// baseline sessions, whose durable form is their journal.
+    /// baseline sessions, whose durable form is their journal.  The JSON is
+    /// rendered for the caller; the journal keeps the typed checkpoint.
     pub fn snapshot_now(&mut self, id: SessionId) -> Result<String> {
         self.check_writable()?;
         self.ensure_live(id)?;
@@ -764,9 +772,10 @@ impl Shard {
             .expect("live ensured");
         let checkpoint = self.write_checkpoint(id, &live);
         self.sessions.get_mut(&id).expect("live ensured").live = Some(live);
-        let json = checkpoint?;
+        let snapshot = checkpoint?;
         self.touch(id);
-        Ok(json)
+        serde_json::to_string(&*snapshot)
+            .map_err(|e| CoreError::InvalidConfig(format!("snapshot serialisation: {e}")))
     }
 
     /// Flushes (and fsyncs) this shard's durable log, if it has one — the

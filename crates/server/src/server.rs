@@ -11,12 +11,13 @@
 //! merge the replies.
 //!
 //! Shutdown is graceful by construction: [`ServerControl::shutdown`] flips
-//! a flag, the accept loop drains, connection threads notice on their next
-//! read-timeout tick, and each worker `sync()`s its shard's durable log
-//! when its channel closes — then [`Server::serve`] itself syncs the store
-//! once more before returning.
+//! a flag and wakes the accept loop, which blocks in `accept` between
+//! connections, with a loopback connect to the bound port; connection
+//! threads notice on their next read-timeout tick, and each worker
+//! `sync()`s its shard's durable log when its channel closes — then
+//! [`Server::serve`] itself syncs the store once more before returning.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
@@ -41,8 +42,10 @@ pub struct ServerConfig {
     pub request_timeout: Duration,
     /// Ceiling on a single frame's payload length.
     pub max_frame_len: usize,
-    /// Read-timeout granularity: how often blocked readers poll for
-    /// shutdown.  Smaller shuts down faster; larger spins less.
+    /// Read-timeout granularity: how often blocked connection readers poll
+    /// for shutdown (smaller shuts down faster; larger spins less), and the
+    /// back-off after a failed `accept`.  The accept loop itself blocks
+    /// until a connection arrives or [`ServerControl::shutdown`] wakes it.
     pub poll_interval: Duration,
 }
 
@@ -91,13 +94,34 @@ struct Shared {
 #[derive(Clone)]
 pub struct ServerControl {
     shutdown: Arc<AtomicBool>,
+    /// Where a connect reaches the listener (see [`wake_address`]).
+    wake: SocketAddr,
 }
 
 impl ServerControl {
     /// Requests a graceful shutdown: stop accepting, drain connections,
     /// `sync()` every shard's durable log, return from `serve`.
+    ///
+    /// The flag is set first, then a loopback connect wakes the accept
+    /// loop if it is blocked; the loop drops that connection unserved.  A
+    /// failed connect means the listener is already gone.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+}
+
+/// The address a local connect reaches a listener bound to `bound` at: an
+/// unspecified bind address (`0.0.0.0`, `::`) maps to loopback.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => {
+            SocketAddr::new(Ipv4Addr::LOCALHOST.into(), bound.port())
+        }
+        IpAddr::V6(ip) if ip.is_unspecified() => {
+            SocketAddr::new(Ipv6Addr::LOCALHOST.into(), bound.port())
+        }
+        _ => bound,
     }
 }
 
@@ -127,18 +151,21 @@ enum ShardRequest {
 pub struct Server {
     listener: TcpListener,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    control: ServerControl,
 }
 
 impl Server {
     /// Binds the listener (use port 0 for an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let control = ServerControl {
+            shutdown: Arc::new(AtomicBool::new(false)),
+            wake: wake_address(listener.local_addr()?),
+        };
         Ok(Server {
             listener,
             config,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            control,
         })
     }
 
@@ -149,9 +176,7 @@ impl Server {
 
     /// A clonable handle that stops this server from another thread.
     pub fn control(&self) -> ServerControl {
-        ServerControl {
-            shutdown: self.shutdown.clone(),
-        }
+        self.control.clone()
     }
 
     /// Serves the store until shutdown, then returns the run's counters.
@@ -165,7 +190,7 @@ impl Server {
     pub fn serve(self, store: &mut SessionStore) -> Result<ServeReport> {
         let config = self.config;
         let shared = Arc::new(Shared {
-            shutdown: self.shutdown.clone(),
+            shutdown: self.control.shutdown.clone(),
             next_id: AtomicU64::new(store.next_session_id()),
             connections: AtomicUsize::new(0),
             requests: AtomicUsize::new(0),
@@ -190,20 +215,19 @@ impl Server {
                 scope.spawn(move || shard_worker(shard, rx));
             }
 
-            // The accept loop runs on the scope's own thread.
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
+            // The accept loop runs on the scope's own thread, blocked in
+            // `accept` until a client or `ServerControl::shutdown`'s wake-up
+            // connect arrives.
+            while !shared.shutdown.load(Ordering::SeqCst) {
                 match self.listener.accept() {
+                    // Shutdown came first: this is the wake-up connect, or
+                    // a client too late to serve.
+                    Ok(_) if shared.shutdown.load(Ordering::SeqCst) => break,
                     Ok((stream, _peer)) => {
                         shared.connections.fetch_add(1, Ordering::Relaxed);
                         let senders = senders.clone();
                         let shared = shared.clone();
                         scope.spawn(move || serve_connection(stream, senders, shared, config));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(config.poll_interval);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
@@ -522,4 +546,24 @@ fn broadcast(
             route_one(sender, request, deadline, shared)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unspecified_bind_address_wakes_through_loopback() {
+        let cases = [
+            ("0.0.0.0:7000", "127.0.0.1:7000"),
+            ("[::]:7001", "[::1]:7001"),
+            ("127.0.0.1:7002", "127.0.0.1:7002"),
+            ("10.1.2.3:7003", "10.1.2.3:7003"),
+            ("[::1]:7004", "[::1]:7004"),
+        ];
+        for (bound, wake) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_address(bound), wake.parse::<SocketAddr>().unwrap());
+        }
+    }
 }

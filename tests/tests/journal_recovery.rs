@@ -263,6 +263,50 @@ fn golden_checkpoint_segment_is_written_and_recovered() {
     std::fs::remove_dir_all(&reopened).unwrap();
 }
 
+/// A CRC-valid checkpoint whose value is not a session snapshot (the
+/// synthetic one of the wire-format fixture) fails recovery with a typed
+/// error naming its session, instead of surfacing at the session's first
+/// touch.
+#[test]
+fn a_checkpoint_that_is_not_a_snapshot_fails_recovery_naming_its_session() {
+    let root = unique_temp_dir("not-a-snapshot");
+    let mut store = SessionStore::open(&root, one_slot_store()).unwrap();
+    let id = store
+        .create(session_config(41, &checkpoint_catalog()))
+        .unwrap();
+    store.sync().unwrap();
+    drop(store);
+    let (segments, _) = shard_files(&root.join("shard-0000"));
+    let newest = segments.last().unwrap();
+    let mut bytes = std::fs::read(newest).unwrap();
+    encode_record(
+        &WireRecord::Event {
+            session: id,
+            event: WireEvent::Snapshot {
+                snapshot: serde_json::value_from_str(r#"{"version":1,"catalog":0,"rounds":2}"#)
+                    .unwrap(),
+                ops: 0,
+                last_shown: Vec::new(),
+            },
+        },
+        &mut bytes,
+    )
+    .unwrap();
+    std::fs::write(newest, bytes).unwrap();
+    match SessionStore::open(&root, one_slot_store()) {
+        Err(CoreError::Io {
+            kind: std::io::ErrorKind::InvalidData,
+            message,
+        }) => assert!(
+            message.contains(&format!("checkpoint of {id} ")),
+            "the error names the session: {message}"
+        ),
+        Err(other) => panic!("expected an InvalidData error, got {other}"),
+        Ok(_) => panic!("recovery accepted a checkpoint that is not a snapshot"),
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Kill at a random offset
 // ---------------------------------------------------------------------------

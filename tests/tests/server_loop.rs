@@ -790,6 +790,65 @@ fn idempotent_verbs_survive_a_server_restart_via_retry() {
 }
 
 // ---------------------------------------------------------------------------
+// The accept loop blocks: an idle server answers and stops at once
+// ---------------------------------------------------------------------------
+
+/// The accept loop blocks in `accept` instead of sleeping `poll_interval`
+/// between polls, and `shutdown` wakes it.  With a 10 s interval, a client
+/// that connects to an idle server still gets its first reply within 1 s,
+/// and `serve` returns within 1 s of `shutdown`.
+#[test]
+fn an_idle_server_answers_a_new_client_and_shuts_down_without_polling() {
+    let store = SessionStore::new(StoreConfig {
+        shards: 2,
+        capacity_per_shard: 8,
+    })
+    .unwrap();
+    let config = ServerConfig {
+        poll_interval: Duration::from_secs(10),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let control = server.control();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let mut store = store;
+        let report = server.serve(&mut store).unwrap();
+        done_tx.send(std::time::Instant::now()).unwrap();
+        report
+    });
+    // Let the accept loop go idle before the first client arrives.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let connected = std::time::Instant::now();
+    let mut client = Client::connect(addr).unwrap();
+    let (sessions, _) = client.stats().unwrap();
+    let first_reply = connected.elapsed();
+    assert_eq!(sessions, 0);
+    assert!(
+        first_reply < Duration::from_secs(1),
+        "first reply took {first_reply:?}"
+    );
+    // Hang up (the connection thread ends at once on the close), then stop
+    // the idle server.
+    drop(client);
+    let stopped = std::time::Instant::now();
+    control.shutdown();
+    let returned = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve returns after shutdown");
+    let report = handle.join().unwrap();
+    let shutdown_took = returned.duration_since(stopped);
+    assert!(
+        shutdown_took < Duration::from_secs(1),
+        "serve returned {shutdown_took:?} after shutdown"
+    );
+    assert_eq!(report.connections, 1, "the wake-up connect is not served");
+    assert_eq!(report.requests, 1, "{report:?}");
+}
+
+// ---------------------------------------------------------------------------
 // Per-request deadlines: a stalled shard worker cannot hang a connection
 // ---------------------------------------------------------------------------
 
